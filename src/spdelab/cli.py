@@ -42,13 +42,7 @@ from .estimators import (
     uniqueness_gap,
 )
 from .kernels import classify_regime
-from .noise import (
-    NoiseField,
-    covariance_check,
-    empirical_covariance,
-    sample_increment,
-    write_field,
-)
+from .noise import NoiseField, covariance_check, write_field
 from .oracles import (
     cases_to_csv,
     fit_offset_exponent,
@@ -133,18 +127,12 @@ def _cmd_noise_check(cfg: ExperimentConfig, gated: bool) -> int:
     replicas = cfg.get_int("run.replicas", 8)
     cells = cfg.get_ints("noise.lags", (4, 8, 16, 32, 64))
     tol = cfg.get_float("noise.tol", 0.10)
-    steps = cfg.get_int("noise.steps", 1)
     lags = [g * grid.h for g in cells]
-    if steps > 1:
-        rows = covariance_check(
-            grid, kspec, grid.dt, lags, replicas=replicas,
-            steps_per_replica=steps, master_seed=cfg.get_int("run.seed", 0xC0FFEE),
-        )
-    else:
-        fields = _run_replicas(
-            lambda r: sample_increment(grid, kspec, grid.dt, cfg.stream(r)), range(replicas)
-        )
-        rows = empirical_covariance(fields, lags)
+    rows = covariance_check(
+        grid, kspec, grid.dt, lags, replicas=replicas,
+        steps_per_replica=cfg.get_int("noise.steps", 1),
+        master_seed=cfg.get_int("run.seed", 0xC0FFEE),
+    )
     ok = True
     out_rows = []
     for row in rows:

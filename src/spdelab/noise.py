@@ -28,7 +28,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InputError, SingularKernelError, SpectralError
+from .errors import (
+    DomainError,
+    InputError,
+    InsufficientDataError,
+    SingularKernelError,
+    SpectralError,
+)
 from .kernels import KernelSpec, kernel_eval, riesz_spectral_constant
 
 _TWO32 = 1 << 32
@@ -317,6 +323,10 @@ def covariance_check(
     """
     if not dt > 0:
         raise DomainError("dt must be > 0")
+    if steps_per_replica < 1:
+        raise DomainError("steps_per_replica must be >= 1")
+    if replicas < 2:
+        raise InsufficientDataError(f"need >= 2 replicas, got {replicas}", n_samples=replicas)
     offsets = [_lag_offset(grid, lag) for lag in lags]
     if kspec.is_singular and any(g == 0 for g in offsets):
         raise SingularKernelError("lag 0 excluded: riesz kernel is singular at separation 0")

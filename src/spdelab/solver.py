@@ -6,8 +6,9 @@ form: ``u_{m+1} = S_dt(u_m + sigma(u_m) dW_m)``, with the heat semigroup
 flow of the grid data, so there is no parabolic stability constraint; ``dt``
 only sets the temporal resolution of the noise.
 
-Coupled pairs of solutions consume the identical noise realization (same
-counter-based stream triples), which is the setting in which pathwise
+``simulate`` and ``simulate_pair`` run one loop over a legs axis that shares
+``dW``: a single run is one leg, and a coupled pair is two legs consuming the
+identical noise realization.  That is the setting in which pathwise
 uniqueness is probed numerically: the difference field of a pair started from
 identical data is identically zero, and for small initial perturbations the
 difference should shrink with the perturbation.
@@ -221,9 +222,7 @@ class _Stepper:
 
     def __init__(self, grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, dt: float):
         self.grid = grid
-        self.kspec = kspec
         self.sspec = sspec
-        self.dt = dt
         self.multiplier = _heat_multiplier_half(grid, dt)
         self.mode_std = _amplitudes_cached(grid, kspec) * np.sqrt(dt)
 
@@ -295,6 +294,67 @@ def _snapshot_steps(grid: GridSpec, dt: float, snapshot_times) -> dict[int, floa
     return want
 
 
+def _integrate(
+    grid: GridSpec,
+    kspec: KernelSpec,
+    sspec: SigmaSpec,
+    u0_spec: InitialCondition,
+    legs0,
+    stream: RngStream,
+    snapshot_times,
+    clip: bool = False,
+) -> list[Trajectory]:
+    """Step the initial fields ``legs0``, stacked on a leading legs axis,
+    under one shared noise path; returns one Trajectory per leg.
+
+    Step ``m`` draws one ``dW`` from ``stream.at_step(m - 1)`` and broadcasts
+    it over the legs.  The FFTs transform each leg as an independent row, so
+    every leg is bitwise the run it would be on its own.  A blow-up raises
+    BlowUpError carrying ``partial_trajectories`` (``complete=False``).
+    """
+    dt = grid.dt
+    want = _snapshot_steps(grid, dt, snapshot_times)
+    stepper = _Stepper(grid, kspec, sspec, dt)
+    u = np.stack(legs0)
+    fingerprint = config_fingerprint(grid, kspec, sspec, u0_spec, stream)
+    grid_axes = tuple(range(1, u.ndim))
+    hi = 1.0 if sspec.kind == "viot" else np.inf
+
+    fields: list[list[Field]] = [[] for _ in legs0]
+    times: list[float] = []
+    clip_count = np.zeros(len(legs0), dtype=np.int64)
+    clip_max = np.zeros(len(legs0))
+
+    def trajectories(complete: bool) -> list[Trajectory]:
+        return [
+            Trajectory(fingerprint=fingerprint, grid=grid, times=tuple(times), fields=leg,
+                       clip_count=int(count), clip_max=float(worst), complete=complete)
+            for leg, count, worst in zip(fields, clip_count, clip_max)
+        ]
+
+    last = max(want) if want else 0
+    for m in range(last + 1):
+        if m > 0:
+            u = stepper.step(u, stepper.sample_dw(stream.at_step(m - 1)))
+            if not np.all(np.isfinite(u)):
+                err = BlowUpError(f"non-finite values at step {m} (t={m * dt})", step_index=m)
+                err.partial_trajectories = trajectories(complete=False)
+                raise err
+            if clip:
+                mask = (u < 0.0) | (u > hi)
+                if np.any(mask):
+                    clipped = np.clip(u, 0.0, hi)
+                    clip_count += np.count_nonzero(mask, axis=grid_axes)
+                    clip_max = np.maximum(clip_max, np.max(np.abs(u - clipped), axis=grid_axes))
+                    u = clipped
+        if m in want:
+            # one copy per leg; keeping the stack as well would double snapshot memory
+            for leg, values in zip(fields, u):
+                leg.append(Field(grid=grid, t=want[m], values=values.copy()))
+            times.append(want[m])
+    return trajectories(complete=True)
+
+
 def simulate(
     grid: GridSpec,
     kspec: KernelSpec,
@@ -310,59 +370,15 @@ def simulate(
     field is projected to [0, inf) (or [0, 1] for the viot coefficient) and
     every projected point is counted.  Off by default; the scheme itself is
     well-defined for negative values because the square-root coefficients
-    clamp internally.
+    clamp internally.  A blow-up error carries ``partial_trajectory``.
     """
-    dt = grid.dt
-    want = _snapshot_steps(grid, dt, snapshot_times)
-    stepper = _Stepper(grid, kspec, sspec, dt)
-    u = u0_spec.evaluate(grid)
-    fingerprint = config_fingerprint(grid, kspec, sspec, u0_spec, stream)
-
-    lo, hi = 0.0, np.inf
-    if clip and sspec.kind == "viot":
-        hi = 1.0
-
-    fields: list[Field] = []
-    times: list[float] = []
-    clip_count, clip_max = 0, 0.0
-    if 0 in want:
-        fields.append(Field(grid=grid, t=want[0], values=u.copy()))
-        times.append(want[0])
-    last = max(want) if want else 0
-    for m in range(1, last + 1):
-        dw = stepper.sample_dw(stream.at_step(m - 1))
-        u = stepper.step(u, dw)
-        if not np.all(np.isfinite(u)):
-            partial = Trajectory(
-                fingerprint=fingerprint,
-                grid=grid,
-                times=tuple(times),
-                fields=fields,
-                clip_count=clip_count,
-                clip_max=clip_max,
-                complete=False,
-            )
-            err = BlowUpError(f"non-finite values at step {m} (t={m * dt})", step_index=m)
-            err.partial_trajectory = partial
-            raise err
-        if clip:
-            mask = (u < lo) | (u > hi)
-            if np.any(mask):
-                clipped = np.clip(u, lo, hi)
-                clip_count += int(np.count_nonzero(mask))
-                clip_max = max(clip_max, float(np.max(np.abs(u - clipped))))
-                u = clipped
-        if m in want:
-            fields.append(Field(grid=grid, t=want[m], values=u.copy()))
-            times.append(want[m])
-    return Trajectory(
-        fingerprint=fingerprint,
-        grid=grid,
-        times=tuple(times),
-        fields=fields,
-        clip_count=clip_count,
-        clip_max=clip_max,
-    )
+    legs0 = [u0_spec.evaluate(grid)]
+    try:
+        (traj,) = _integrate(grid, kspec, sspec, u0_spec, legs0, stream, snapshot_times, clip)
+    except BlowUpError as err:
+        (err.partial_trajectory,) = err.partial_trajectories
+        raise
+    return traj
 
 
 @dataclass(eq=False)
@@ -383,6 +399,14 @@ class SolutionPair:
         return self.traj_a.times
 
 
+def _pair(delta: float, traj_a: Trajectory, traj_b: Trajectory) -> SolutionPair:
+    diffs = [
+        Field(grid=fa.grid, t=fa.t, values=fa.values - fb.values)
+        for fa, fb in zip(traj_a.fields, traj_b.fields)
+    ]
+    return SolutionPair(delta=delta, traj_a=traj_a, traj_b=traj_b, diffs=diffs)
+
+
 def simulate_pair(
     grid: GridSpec,
     kspec: KernelSpec,
@@ -395,37 +419,14 @@ def simulate_pair(
 ) -> SolutionPair:
     """Integrate two solutions under the same noise; leg b starts from
     ``u0 + delta * perturbation``.  ``delta = 0`` reproduces leg a bitwise.
+    A blow-up error carries ``partial_pair``, diffs up to the last good step.
     """
-    dt = grid.dt
-    want = _snapshot_steps(grid, dt, snapshot_times)
-    stepper = _Stepper(grid, kspec, sspec, dt)
-    ua = u0_spec.evaluate(grid)
-    if delta == 0.0 or perturbation is None:
-        ub = ua.copy()
-    else:
-        ub = ua + delta * perturbation.evaluate(grid)
-    fp = config_fingerprint(grid, kspec, sspec, u0_spec, stream)
-
-    fields_a, fields_b, diffs, times = [], [], [], []
-
-    def record(t, ua, ub):
-        fields_a.append(Field(grid=grid, t=t, values=ua.copy()))
-        fields_b.append(Field(grid=grid, t=t, values=ub.copy()))
-        diffs.append(Field(grid=grid, t=t, values=ua - ub))
-        times.append(t)
-
-    if 0 in want:
-        record(want[0], ua, ub)
-    last = max(want) if want else 0
-    for m in range(1, last + 1):
-        dw = stepper.sample_dw(stream.at_step(m - 1))
-        ua = stepper.step(ua, dw)
-        ub = stepper.step(ub, dw)
-        if not (np.all(np.isfinite(ua)) and np.all(np.isfinite(ub))):
-            raise BlowUpError(f"non-finite values at step {m}", step_index=m)
-        if m in want:
-            record(want[m], ua, ub)
-
-    traj_a = Trajectory(fingerprint=fp, grid=grid, times=tuple(times), fields=fields_a)
-    traj_b = Trajectory(fingerprint=fp, grid=grid, times=tuple(times), fields=fields_b)
-    return SolutionPair(delta=delta, traj_a=traj_a, traj_b=traj_b, diffs=diffs)
+    legs0 = [u0_spec.evaluate(grid)] * 2
+    if delta != 0.0 and perturbation is not None:
+        legs0[1] = legs0[0] + delta * perturbation.evaluate(grid)
+    try:
+        traj_a, traj_b = _integrate(grid, kspec, sspec, u0_spec, legs0, stream, snapshot_times)
+    except BlowUpError as err:
+        err.partial_pair = _pair(delta, *err.partial_trajectories)
+        raise
+    return _pair(delta, traj_a, traj_b)

@@ -112,6 +112,14 @@ class TestExitCodes:
         proc = run_cli(["noise-check", "--set", "grid.n=100", "--out", str(tmp_path / "o")])
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("steps, replicas", [("2", "1"), ("1", "1"), ("0", "8"), ("-3", "8")])
+    def test_degenerate_noise_check_sizes_are_3(self, tmp_path, steps, replicas):
+        proc = run_cli(
+            ["noise-check", "--set", "grid.n=256", "--set", f"noise.steps={steps}",
+             "--replicas", replicas, "--out", str(tmp_path / "o")]
+        )
+        assert proc.returncode == 3, proc.stderr
+
     def test_numeric_failure_is_4(self, tmp_path):
         proc = run_cli(
             ["simulate", *FAST_SIM,

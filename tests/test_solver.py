@@ -5,7 +5,14 @@ import pytest
 
 from spdelab.errors import BlowUpError, DomainError, ExtrapolationError, InputError
 from spdelab.kernels import KernelSpec, semigroup_multiplier
-from spdelab.noise import GridSpec, RngStream, sample_increment, spectral_amplitudes, write_field
+from spdelab.noise import (
+    GridSpec,
+    NoiseField,
+    RngStream,
+    sample_increment,
+    spectral_amplitudes,
+    write_field,
+)
 from spdelab.solver import (
     Field,
     InitialCondition,
@@ -233,6 +240,27 @@ class TestSimulate:
         assert exc.value.step_index is not None
         assert hasattr(exc.value, "partial_trajectory")
 
+    def test_pair_blow_up_carries_partial_pair(self):
+        g = grid1d(n=64, l=1.0, t_end=64 * (1.0 / 64) ** 2)
+        k = KernelSpec(kind="bounded-constant", amplitude=1.0)
+        sig = SigmaSpec(kind="lipschitz-linear", scale=1e160, growth_c=1e160)
+        u0 = InitialCondition(kind="constant", value=1e160)
+        pert = InitialCondition(kind="bump", center=0.5, width=0.1, height=1.0)
+        times = [0.0, 32 * g.dt]
+        with pytest.raises(BlowUpError) as single:
+            simulate(g, k, sig, u0, RngStream(2), times)
+        with pytest.raises(BlowUpError) as exc:
+            simulate_pair(g, k, sig, u0, pert, 0.1, RngStream(2), times)
+        err = exc.value
+        assert str(err) == str(single.value)
+        assert err.step_index == single.value.step_index
+        pair = err.partial_pair
+        assert not pair.traj_a.complete and not pair.traj_b.complete
+        assert pair.times == (0.0,)
+        assert [d.t for d in pair.diffs] == [0.0]
+        a, b = pair.traj_a.fields[0].values, pair.traj_b.fields[0].values
+        assert np.array_equal(pair.diffs[0].values, a - b)
+
     def test_clip_counting_for_viot(self):
         g = grid1d(n=128, l=1.0, t_end=128 * (1.0 / 128) ** 2)
         k = KernelSpec(kind="riesz", alpha=0.5, amplitude=50.0)
@@ -289,3 +317,34 @@ class TestSimulatePair:
         decay = np.exp(-2 * np.pi**2 * m * g.dt / g.l**2)
         expect = -0.5 * decay * np.sin(2 * np.pi * g.axis_coords() / g.l)
         assert np.max(np.abs(pair.diffs[0].values - expect)) <= 1e-11
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_legs_match_separate_runs_bitwise(self, dim, tmp_path):
+        # leg a is simulate from u0; leg b is simulate from a file holding
+        # u0 + delta * pert; the shared-noise stack changes neither
+        if dim == 1:
+            g = grid1d(n=128)
+            k = KernelSpec(kind="riesz", alpha=0.5)
+        else:
+            g = GridSpec(dim=2, n=32, l=1.0, t_end=16 * (1.0 / 32) ** 2)
+            k = KernelSpec(kind="riesz", alpha=1.0, dim=2)
+        sig = SigmaSpec(kind="holder-power", gamma=0.7)
+        u0 = InitialCondition(kind="constant", value=1.0)
+        pert = InitialCondition(kind="bump", center=0.5, width=0.1, height=1.0)
+        delta = 0.37
+        times = [0.0, 8 * g.dt, 16 * g.dt]
+        pair = simulate_pair(g, k, sig, u0, pert, delta, RngStream(21, 3), times)
+
+        start_b = u0.evaluate(g) + delta * pert.evaluate(g)
+        path = tmp_path / "u0b.bin"
+        write_field(NoiseField(grid=g, values=start_b, kernel=k, stream=RngStream(0), dt=g.dt), path)
+        u0_b = InitialCondition(kind="file", path=str(path))
+        traj_a = simulate(g, k, sig, u0, RngStream(21, 3), times)
+        traj_b = simulate(g, k, sig, u0_b, RngStream(21, 3), times)
+
+        assert pair.times == traj_a.times == traj_b.times
+        for leg, alone in ((pair.traj_a, traj_a), (pair.traj_b, traj_b)):
+            for f_leg, f_alone in zip(leg.fields, alone.fields, strict=True):
+                assert np.array_equal(f_leg.values, f_alone.values)
+        for d, fa, fb in zip(pair.diffs, traj_a.fields, traj_b.fields, strict=True):
+            assert np.array_equal(d.values, fa.values - fb.values)
