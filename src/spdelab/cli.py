@@ -127,10 +127,10 @@ def _cmd_noise_check(cfg: ExperimentConfig, gated: bool) -> int:
     replicas = cfg.get_int("run.replicas", 8)
     cells = cfg.get_ints("noise.lags", (4, 8, 16, 32, 64))
     tol = cfg.get_float("noise.tol", 0.10)
+    steps = cfg.get_int("noise.steps", 2048)
     lags = [g * grid.h for g in cells]
     rows = covariance_check(
-        grid, kspec, grid.dt, lags, replicas=replicas,
-        steps_per_replica=cfg.get_int("noise.steps", 1),
+        grid, kspec, grid.dt, lags, replicas=replicas, steps_per_replica=steps,
         master_seed=cfg.get_int("run.seed", 0xC0FFEE),
     )
     ok = True
@@ -150,7 +150,8 @@ def _cmd_noise_check(cfg: ExperimentConfig, gated: bool) -> int:
         out_rows,
         cfg,
     )
-    _write_manifest(out, cfg, {"covariance_within_tol": ok, "replicas": replicas})
+    _write_manifest(out, cfg, {"covariance_within_tol": ok, "replicas": replicas,
+                               "steps_per_replica": steps, "draws": replicas * steps})
     print(f"noise covariance: {'pass' if ok else 'FAIL'} ({replicas} replicas, tol {tol})")
     return 0 if ok or not gated else 1
 

@@ -44,7 +44,7 @@ run.out = out
 
 noise.lags = 4,8,16,32,64
 noise.tol = 0.10
-noise.steps = 1
+noise.steps = 2048
 
 holder.lags = 8,16,32,64
 holder.tsteps = 64,128,256,512,1024

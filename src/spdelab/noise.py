@@ -15,6 +15,9 @@ The resolvable band ends at the Nyquist frequency ``n/(2l)``; truncating
 there mollifies the ``r -> 0`` singularity of the kernel at the grid scale
 ``h``, which is the intended grid-level regularisation.
 
+Covariance estimates rest on the Wiener-Khinchin identity: a field's circular
+autocovariance at every lag is one inverse DFT of its power spectrum.
+
 Randomness is counter-based: every (master_seed, replica_id, step_index)
 triple keys an independent Philox stream, so replicas and steps can be
 generated in any order, concurrently, with bit-identical results.
@@ -198,6 +201,26 @@ def spectral_amplitudes(grid: GridSpec, kspec: KernelSpec) -> np.ndarray:
     return amps.copy()
 
 
+def _draw_spectrum(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Coefficients ``mode_std * z`` of one draw: rfft half spectrum (1-D), full Hermitian (2-D)."""
+    if grid.dim == 1:
+        nh = grid.n // 2 + 1
+        g = rng.standard_normal((2, nh))
+        z = (g[0] + 1j * g[1]) * np.sqrt(0.5)
+        z[0] = g[0, 0]  # self-conjugate modes are real with unit variance
+        z[-1] = g[0, -1]
+        return mode_std[:nh] * z
+    g = rng.standard_normal((2,) + grid.shape)
+    z = (g[0] + 1j * g[1]) * np.sqrt(0.5)
+    rev = (-np.arange(grid.n)) % grid.n
+    return mode_std * ((z + np.conj(z[np.ix_(rev, rev)])) * np.sqrt(0.5))
+
+
+def _power(spectrum: np.ndarray) -> np.ndarray:
+    """``|spectrum|^2`` summed over every axis after the first."""
+    return (spectrum.real**2 + spectrum.imag**2).sum(axis=tuple(range(1, spectrum.ndim)))
+
+
 def synthesize(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one real Gaussian field with the given per-mode standard deviations.
 
@@ -213,17 +236,8 @@ def synthesize(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -
         raise SpectralError("mode standard deviations must be finite and >= 0")
     n = grid.n
     if grid.dim == 1:
-        nh = n // 2 + 1
-        g = rng.standard_normal((2, nh))
-        z = (g[0] + 1j * g[1]) * np.sqrt(0.5)
-        z[0] = g[0, 0]  # self-conjugate modes are real with unit variance
-        z[-1] = g[0, -1]
-        return np.fft.irfft(n * mode_std[:nh] * z, n)
-    g = rng.standard_normal((2,) + grid.shape)
-    z = (g[0] + 1j * g[1]) * np.sqrt(0.5)
-    rev = (-np.arange(n)) % n
-    z = (z + np.conj(z[np.ix_(rev, rev)])) * np.sqrt(0.5)
-    field = np.fft.ifft2(mode_std * z) * n**2
+        return np.fft.irfft(_draw_spectrum(grid, n * mode_std, rng), n)
+    field = np.fft.ifft2(_draw_spectrum(grid, mode_std, rng)) * n**2
     residue = float(np.max(np.abs(field.imag)))
     if residue > 1e-9 * max(1.0, float(np.max(np.abs(field.real)))):
         raise SpectralError(f"imaginary residue {residue} exceeds tolerance")
@@ -249,57 +263,54 @@ class CovarianceRow:
     theory: float
 
 
-def _lag_offset(grid: GridSpec, lag: float) -> int:
-    g = lag / grid.h
-    gi = int(round(g))
-    if abs(g - gi) > 1e-9 or gi < 0 or gi > grid.n // 2:
-        raise InputError(f"lag {lag} is not a resolvable grid separation")
-    return gi
+def _lag_offsets(grid: GridSpec, kspec: KernelSpec, lags) -> list[int]:
+    """Grid offsets of ``lags``; Riesz kernels reject lag 0 (singular there)."""
+    offsets = []
+    for lag in lags:
+        g = lag / grid.h
+        gi = int(round(g))
+        if abs(g - gi) > 1e-9 or gi < 0 or gi > grid.n // 2:
+            raise InputError(f"lag {lag} is not a resolvable grid separation")
+        if gi == 0 and kspec.is_singular:
+            raise SingularKernelError("lag 0 excluded: riesz kernel is singular at separation 0")
+        offsets.append(gi)
+    return offsets
 
 
 def _theory_cov(kspec: KernelSpec, grid: GridSpec, dt: float, lag: float) -> float:
     if kspec.kind == "white":
-        if lag == 0:
-            return dt * kspec.amplitude / grid.h**grid.dim
-        return 0.0
+        return dt * kspec.amplitude / grid.h**grid.dim if lag == 0 else 0.0
     return float(dt * kernel_eval(kspec, lag))
+
+
+def _covariance_rows(per_replica: np.ndarray, lags, kspec, grid, dt) -> list[CovarianceRow]:
+    """One row per lag from a ``(replicas, lags)`` array; stderr from the replica spread."""
+    return [
+        CovarianceRow(lag=float(lag), estimate=float(np.mean(col)),
+                      stderr=float(np.std(col, ddof=1) / np.sqrt(len(col))),
+                      theory=_theory_cov(kspec, grid, dt, float(lag)))
+        for lag, col in zip(lags, per_replica.T)
+    ]
 
 
 def empirical_covariance(fields, lags) -> list[CovarianceRow]:
     """Spatially-and-replica-averaged covariance estimates at the given lags.
 
-    Offsets are taken along the first axis; spatial averaging uses every
-    anchor (periodic wrap), the standard error comes from the spread of the
-    per-replica means.  Riesz kernels reject lag 0 (singular there).
+    Offsets are taken along the first axis; averaging over every anchor
+    (periodic wrap) is one ``irfft`` of each field's power spectrum along that
+    axis.  Standard errors come from the spread of the per-replica means.
     """
     fields = list(fields)
     if len(fields) < 2:
         raise InputError("need at least 2 fields for a covariance estimate")
     grid, kspec, dt = fields[0].grid, fields[0].kernel, fields[0].dt
-    for f in fields[1:]:
-        if f.grid != grid or f.kernel != kspec or f.dt != dt:
-            raise InputError("all fields must share grid, kernel and dt")
-    rows = []
-    for lag in lags:
-        gi = _lag_offset(grid, lag)
-        if gi == 0 and kspec.is_singular:
-            raise SingularKernelError(
-                "lag 0 excluded: riesz kernel is singular at separation 0"
-            )
-        per_replica = np.array(
-            [np.mean(f.values * np.roll(f.values, gi, axis=0)) for f in fields]
-        )
-        est = float(np.mean(per_replica))
-        se = float(np.std(per_replica, ddof=1) / np.sqrt(len(per_replica)))
-        rows.append(
-            CovarianceRow(
-                lag=float(lag),
-                estimate=est,
-                stderr=se,
-                theory=_theory_cov(kspec, grid, dt, float(lag)),
-            )
-        )
-    return rows
+    if any(f.grid != grid or f.kernel != kspec or f.dt != dt for f in fields[1:]):
+        raise InputError("all fields must share grid, kernel and dt")
+    offsets = _lag_offsets(grid, kspec, lags)
+    per_replica = np.array(
+        [np.fft.irfft(_power(np.fft.rfft(f.values, axis=0)), grid.n)[offsets] for f in fields]
+    ) / grid.n_cells
+    return _covariance_rows(per_replica, lags, kspec, grid, dt)
 
 
 def covariance_check(
@@ -314,9 +325,11 @@ def covariance_check(
     """Streaming Monte Carlo covariance check against ``dt * k``.
 
     Each replica is one stream that contributes ``steps_per_replica``
-    independent increments (distinct step indices); products are averaged over
-    anchors, steps, and replicas without materializing the fields.  The
-    standard error comes from the spread of the per-replica means.  With a
+    independent increments (distinct step indices).  No field is formed: by
+    Wiener-Khinchin, ``mean(x * roll(x, g))`` of ``x = irfft(n * S)`` is
+    ``irfft(n * |S|^2)[g]``, so each replica sums the power of its drawn
+    spectra ``S`` (over the trailing axes too in 2-D) and takes one ``irfft``.
+    The standard error comes from the spread of the per-replica means.  With a
     single increment per replica the estimator is noise-limited at large lags
     (its variance is dominated by the grid-scale mollified singularity), so
     tight tolerances need ``steps_per_replica`` well above 1.
@@ -327,30 +340,17 @@ def covariance_check(
         raise DomainError("steps_per_replica must be >= 1")
     if replicas < 2:
         raise InsufficientDataError(f"need >= 2 replicas, got {replicas}", n_samples=replicas)
-    offsets = [_lag_offset(grid, lag) for lag in lags]
-    if kspec.is_singular and any(g == 0 for g in offsets):
-        raise SingularKernelError("lag 0 excluded: riesz kernel is singular at separation 0")
-    amps = _amplitudes_cached(grid, kspec) * np.sqrt(dt)
+    offsets = _lag_offsets(grid, kspec, lags)
+    amps = spectral_amplitudes(grid, kspec) * np.sqrt(dt)
+    n, nh = grid.n, grid.n // 2 + 1
     per_replica = np.empty((replicas, len(offsets)))
     for r in range(replicas):
-        acc = np.zeros(len(offsets))
+        power = np.zeros(nh)
         for m in range(steps_per_replica):
-            stream = RngStream(master_seed=master_seed, replica_id=r, step_index=m)
-            x = synthesize(grid, amps, stream.generator())
-            for j, g in enumerate(offsets):
-                acc[j] += np.mean(x * np.roll(x, g, axis=0))
-        per_replica[r] = acc / steps_per_replica
-    rows = []
-    for j, (g, lag) in enumerate(zip(offsets, lags)):
-        est = float(np.mean(per_replica[:, j]))
-        se = float(np.std(per_replica[:, j], ddof=1) / np.sqrt(replicas))
-        rows.append(
-            CovarianceRow(
-                lag=float(lag), estimate=est, stderr=se,
-                theory=_theory_cov(kspec, grid, dt, float(lag)),
-            )
-        )
-    return rows
+            rng = RngStream(master_seed, r, m).generator()
+            power += _power(_draw_spectrum(grid, amps, rng))[:nh]
+        per_replica[r] = np.fft.irfft(n * power, n)[offsets] / steps_per_replica
+    return _covariance_rows(per_replica, lags, kspec, grid, dt)
 
 
 def write_field(field: NoiseField, path) -> None:

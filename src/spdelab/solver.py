@@ -278,7 +278,7 @@ def config_fingerprint(
     )
 
 
-def _snapshot_steps(grid: GridSpec, dt: float, snapshot_times) -> dict[int, float]:
+def _snapshot_steps(dt: float, snapshot_times) -> dict[int, float]:
     """Map requested snapshot times onto step indices; times keep their requested values."""
     want: dict[int, float] = {}
     prev = -1
@@ -313,7 +313,7 @@ def _integrate(
     BlowUpError carrying ``partial_trajectories`` (``complete=False``).
     """
     dt = grid.dt
-    want = _snapshot_steps(grid, dt, snapshot_times)
+    want = _snapshot_steps(dt, snapshot_times)
     stepper = _Stepper(grid, kspec, sspec, dt)
     u = np.stack(legs0)
     fingerprint = config_fingerprint(grid, kspec, sspec, u0_spec, stream)

@@ -131,6 +131,15 @@ class TestExitCodes:
         )
         assert proc.returncode == 4
 
+    @pytest.mark.parametrize("seed", ["5", "11"])
+    def test_default_noise_check_passes_gated(self, tmp_path, seed):
+        out = tmp_path / "o"
+        proc = run_cli(["noise-check", "--seed", seed, "--out", str(out), "--gated"])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        manifest = (out / "manifest.txt").read_text()
+        assert "steps_per_replica = 2048" in manifest
+        assert "draws = 16384" in manifest
+
     def test_gated_failure_is_1(self, tmp_path):
         proc = run_cli(
             ["noise-check", "--set", "grid.n=256", "--set", "noise.tol=1e-9",

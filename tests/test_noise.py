@@ -238,6 +238,81 @@ class TestEmpiricalCovariance:
         assert abs(z) <= 3.5
 
 
+class TestPowerSpectrumEstimator:
+    """The Wiener-Khinchin estimators equal the per-lag roll estimator."""
+
+    CASES = {
+        "riesz-1d": (1, 256, KernelSpec(kind="riesz", alpha=0.5), (1, 4, 37, 128)),
+        "white-1d": (1, 128, KernelSpec(kind="white"), (0, 3, 64)),
+        "riesz-plus-constant-1d": (
+            1, 128, KernelSpec(kind="riesz-plus-constant", alpha=0.7, amplitude=2.0), (2, 9, 64),
+        ),
+        "riesz-2d": (2, 32, KernelSpec(kind="riesz", alpha=1.0, dim=2), (1, 5, 16)),
+    }
+
+    @staticmethod
+    def roll_estimate(per_replica):
+        per_replica = np.array(per_replica)
+        se = np.std(per_replica, axis=0, ddof=1) / np.sqrt(len(per_replica))
+        return np.mean(per_replica, axis=0), se
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_covariance_check_equals_roll(self, case):
+        dim, n, k, cells = self.CASES[case]
+        g = GridSpec(dim=dim, n=n, l=1.0, t_end=1.0)
+        replicas, steps, seed = 5, 3, 41
+        amps = spectral_amplitudes(g, k) * np.sqrt(g.dt)
+        per_replica = []
+        for r in range(replicas):
+            fields = [synthesize(g, amps, RngStream(seed, r, m).generator()) for m in range(steps)]
+            per_replica.append(
+                [np.mean([np.mean(x * np.roll(x, c, axis=0)) for x in fields]) for c in cells]
+            )
+        est, se = self.roll_estimate(per_replica)
+        rows = covariance_check(
+            g, k, g.dt, [c * g.h for c in cells], replicas=replicas,
+            steps_per_replica=steps, master_seed=seed,
+        )
+        np.testing.assert_allclose([r.estimate for r in rows], est, rtol=1e-12)
+        np.testing.assert_allclose([r.stderr for r in rows], se, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_empirical_covariance_equals_roll(self, case):
+        dim, n, k, cells = self.CASES[case]
+        g = GridSpec(dim=dim, n=n, l=1.0, t_end=1.0)
+        fields = [sample_increment(g, k, g.dt, RngStream(42, r)) for r in range(6)]
+        est, se = self.roll_estimate(
+            [[np.mean(f.values * np.roll(f.values, c, axis=0)) for c in cells] for f in fields]
+        )
+        rows = empirical_covariance(fields, [c * g.h for c in cells])
+        np.testing.assert_allclose([r.estimate for r in rows], est, rtol=1e-12)
+        np.testing.assert_allclose([r.stderr for r in rows], se, rtol=1e-12)
+
+    def test_white_off_lag_theory_is_zero(self):
+        g = grid1d(n=128)
+        rows = covariance_check(g, KernelSpec(kind="white"), g.dt, [0.0, 3 * g.h], replicas=2)
+        assert rows[0].theory == pytest.approx(g.dt / g.h) and rows[1].theory == 0.0
+
+    def test_synthesize_bits_unchanged(self):
+        # values recorded from the draw before the coefficient draw was factored out
+        g1 = GridSpec(dim=1, n=8, l=1.0, t_end=1.0)
+        a1 = spectral_amplitudes(g1, KernelSpec(kind="riesz", alpha=0.5))
+        x1 = synthesize(g1, a1, RngStream(2024, 3, 7).generator())
+        assert np.array_equal(x1, [
+            2.426267403812677, 0.5645373687273221, 1.2554487036429296, -1.5117176584141307,
+            0.15288538379377048, 4.963642092665246, -1.1396888488010362, 0.2049248868235023,
+        ])
+        g2 = GridSpec(dim=2, n=4, l=1.0, t_end=1.0)
+        a2 = spectral_amplitudes(g2, KernelSpec(kind="riesz", alpha=1.0, dim=2))
+        x2 = synthesize(g2, a2, RngStream(2024, 3, 7).generator())
+        assert np.array_equal(x2, [
+            [0.8404231665986415, -1.069761031664044, 5.026065366674585, 1.5265355248798582],
+            [2.164741268210899, -1.890500343099744, -0.2878896162106561, 1.6682743985967794],
+            [6.640540463256098, 5.2182729296487835, -2.062831576239668, 0.45167717389729944],
+            [-0.17966716824209428, -0.9623690200133694, -1.4806935168752777, -0.11701445923210685],
+        ])
+
+
 class TestFieldDump:
     def test_round_trip_bits(self, tmp_path):
         g = grid1d(n=128, l=2.5)
