@@ -43,6 +43,8 @@ from .solver import (
     sigma_eval,
     simulate,
     simulate_pair,
+    simulate_pairs,
+    simulate_replicas,
     step,
 )
 from .ywtools import RhoSpec, YWFamily, a_sequence, build_family, calculus_bound_check, delta_approx_check

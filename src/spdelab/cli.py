@@ -4,9 +4,10 @@ Subcommands: ``regime``, ``noise-check``, ``simulate``, ``holder``,
 ``small-value``, ``uniqueness``, ``yw``, ``oracle``.  Each run is a
 deterministic function of (config, seed): artifacts are CSV reports, binary
 field dumps, and a ``manifest.txt`` sidecar embedding every config key, the
-config fingerprint, and the artifact version.  Replicas may execute on a
-thread pool (capped by ``SPDELAB_THREADS``); results are reduced in replica
-order so the emitted bytes never depend on scheduling.
+config fingerprint, and the artifact version.  Replicas run as batches on a
+thread pool of ``SPDELAB_THREADS`` workers, one contiguous chunk of replica
+ids per thread; results are reduced in replica order so the emitted bytes
+never depend on scheduling.
 
 Exit codes: 0 success, 1 failed gate in ``--gated`` mode, 2 config parse
 error, 3 precondition error, 4 numeric failure.
@@ -53,7 +54,7 @@ from .oracles import (
     verify_jest,
     verify_pdiffest,
 )
-from .solver import InitialCondition, simulate, simulate_pair
+from .solver import InitialCondition, simulate, simulate_pairs, simulate_replicas
 from .ywtools import RhoSpec, a_sequence, build_family, delta_approx_check
 
 
@@ -65,15 +66,29 @@ def _thread_count() -> int:
         return 1
 
 
-def _run_replicas(worker, replica_ids):
-    """Run one worker per replica, merging results in replica order."""
-    threads = _thread_count()
-    ids = list(replica_ids)
-    if threads <= 1 or len(ids) <= 1:
-        return [worker(r) for r in ids]
+def _run_replicas(cfg: ExperimentConfig, batch):
+    """Run ``batch(streams)`` on one contiguous chunk of the ``run.replicas``
+    streams per thread, merging the per-replica results in replica order.
+
+    A chunk that blows up stops at its first non-finite step.  Of the chunks'
+    BlowUpErrors the one with the smallest ``(step_index, replica_id)`` is
+    raised, which is the one a single batch would raise; any other error
+    takes precedence, first chunk first.
+    """
+    streams = [cfg.stream(r) for r in range(cfg.get_int("run.replicas", 8))]
+    threads = min(_thread_count(), len(streams))
+    if threads <= 1:
+        return batch(streams) if streams else []
+    bounds = [len(streams) * i // threads for i in range(threads + 1)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {r: pool.submit(worker, r) for r in ids}
-        return [futures[r].result() for r in ids]
+        futures = [pool.submit(batch, streams[a:b]) for a, b in zip(bounds, bounds[1:])]
+    errors = [e for e in (f.exception() for f in futures) if e is not None]
+    if errors:
+        blowups = [e for e in errors if isinstance(e, BlowUpError)]
+        if len(blowups) < len(errors):
+            raise next(e for e in errors if not isinstance(e, BlowUpError))
+        raise min(blowups, key=lambda e: (e.step_index, e.replica_id))
+    return [result for f in futures for result in f.result()]
 
 
 def _write_csv(path: Path, header, rows, cfg: ExperimentConfig | None = None) -> None:
@@ -194,12 +209,9 @@ def _cmd_simulate(cfg: ExperimentConfig, gated: bool) -> int:
 
 def _holder_trajectories(cfg: ExperimentConfig):
     grid, kspec, sspec = cfg.grid(), cfg.kernel(), cfg.sigma()
-    every = cfg.get_int("holder.snap_every", 16)
-    times = _default_snapshots(grid, every)
-    replicas = cfg.get_int("run.replicas", 8)
+    times = _default_snapshots(grid, cfg.get_int("holder.snap_every", 16))
     return grid, _run_replicas(
-        lambda r: simulate(grid, kspec, sspec, cfg.u0(), cfg.stream(r), times),
-        range(replicas),
+        cfg, lambda streams: simulate_replicas(grid, kspec, sspec, cfg.u0(), streams, times)
     )
 
 
@@ -263,26 +275,20 @@ def _pair_perturbation(cfg: ExperimentConfig, grid) -> InitialCondition:
     )
 
 
-def _pairs_for(cfg: ExperimentConfig, delta: float, replicas: int, every: int):
+def _coupled_pairs(cfg: ExperimentConfig, deltas) -> list:
+    """Every replica's pair for every delta, delta-major; a replica's deltas
+    are legs of one batch on its one noise path."""
     grid, kspec, sspec = cfg.grid(), cfg.kernel(), cfg.sigma()
-    times = _default_snapshots(grid, every)
+    times = _default_snapshots(grid, cfg.get_int("holder.snap_every", 16))
     pert = _pair_perturbation(cfg, grid)
-    return _run_replicas(
-        lambda r: simulate_pair(
-            grid, kspec, sspec, cfg.u0(), pert, delta, cfg.stream(r), times
-        ),
-        range(replicas),
+    per_replica = _run_replicas(
+        cfg, lambda streams: simulate_pairs(grid, kspec, sspec, cfg.u0(), pert, deltas, streams, times)
     )
+    return [pairs[k] for k in range(len(deltas)) for pairs in per_replica]
 
 
 def _cmd_uniqueness(cfg: ExperimentConfig, gated: bool) -> int:
-    replicas = cfg.get_int("run.replicas", 8)
-    deltas = cfg.get_floats("pair.deltas", (0.1, 0.01, 0.001))
-    every = cfg.get_int("holder.snap_every", 16)
-    pairs = []
-    for d in deltas:
-        pairs.extend(_pairs_for(cfg, d, replicas, every))
-    report = uniqueness_gap(pairs)
+    report = uniqueness_gap(_coupled_pairs(cfg, cfg.get_floats("pair.deltas", (0.1, 0.01, 0.001))))
     out = _outdir(cfg)
     rows = []
     for d in report.deltas:
@@ -303,10 +309,7 @@ def _cmd_uniqueness(cfg: ExperimentConfig, gated: bool) -> int:
 
 def _cmd_small_value(cfg: ExperimentConfig, gated: bool) -> int:
     grid = cfg.grid()
-    replicas = cfg.get_int("run.replicas", 8)
-    delta = cfg.get_float("smallvalue.delta", 0.1)
-    every = cfg.get_int("holder.snap_every", 16)
-    pairs = _pairs_for(cfg, delta, replicas, every)
+    pairs = _coupled_pairs(cfg, [cfg.get_float("smallvalue.delta", 0.1)])
     kspec, sspec = cfg.kernel(), cfg.sigma()
     xi = cfg.get_float("smallvalue.xi", None)
     if xi is None:

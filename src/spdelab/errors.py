@@ -32,9 +32,10 @@ class SpectralError(SpdeLabError):
 class BlowUpError(SpdeLabError):
     """A simulated field left the representable range (NaN/Inf)."""
 
-    def __init__(self, message, step_index=None):
+    def __init__(self, message, step_index=None, replica_id=None):
         super().__init__(message)
         self.step_index = step_index
+        self.replica_id = replica_id
 
 
 class InsufficientDataError(SpdeLabError):

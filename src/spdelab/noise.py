@@ -234,14 +234,30 @@ def synthesize(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -
         raise InputError("mode_std shape does not match the grid")
     if not np.all(np.isfinite(mode_std)) or np.any(mode_std < 0):
         raise SpectralError("mode standard deviations must be finite and >= 0")
-    n = grid.n
+    return _fields(grid, _draw_spectrum(grid, _draw_std(grid, mode_std), rng)[None])[0]
+
+
+def _draw_std(grid: GridSpec, mode_std: np.ndarray) -> np.ndarray:
+    """``mode_std`` scaled for ``_fields``: 1-D spectra are inverted by a plain ``irfft``."""
+    return grid.n * mode_std if grid.dim == 1 else mode_std
+
+
+def _fields(grid: GridSpec, spectra: np.ndarray) -> np.ndarray:
+    """Real fields of ``_draw_spectrum`` draws stacked on a leading axis.
+
+    Each row is transformed on its own, so it is bitwise the field of that
+    draw alone.  In 2-D every draw's imaginary residue is checked against
+    its own scale, never against one max over the stack.
+    """
     if grid.dim == 1:
-        return np.fft.irfft(_draw_spectrum(grid, n * mode_std, rng), n)
-    field = np.fft.ifft2(_draw_spectrum(grid, mode_std, rng)) * n**2
-    residue = float(np.max(np.abs(field.imag)))
-    if residue > 1e-9 * max(1.0, float(np.max(np.abs(field.real)))):
-        raise SpectralError(f"imaginary residue {residue} exceeds tolerance")
-    return np.ascontiguousarray(field.real)
+        return np.fft.irfft(spectra, grid.n)
+    fields = np.fft.ifft2(spectra) * grid.n**2
+    residue = np.max(np.abs(fields.imag), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(fields.real), axis=(-2, -1)))
+    bad = np.flatnonzero(residue > 1e-9 * scale)
+    if bad.size:
+        raise SpectralError(f"imaginary residue {float(residue[bad[0]])} exceeds tolerance")
+    return np.ascontiguousarray(fields.real)
 
 
 def sample_increment(

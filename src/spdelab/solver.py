@@ -6,18 +6,22 @@ form: ``u_{m+1} = S_dt(u_m + sigma(u_m) dW_m)``, with the heat semigroup
 flow of the grid data, so there is no parabolic stability constraint; ``dt``
 only sets the temporal resolution of the noise.
 
-``simulate`` and ``simulate_pair`` run one loop over a legs axis that shares
-``dW``: a single run is one leg, and a coupled pair is two legs consuming the
-identical noise realization.  That is the setting in which pathwise
-uniqueness is probed numerically: the difference field of a pair started from
-identical data is identically zero, and for small initial perturbations the
-difference should shrink with the perturbation.
+Every run is one batch of shape ``(replicas, legs, *grid)`` stepped by one
+loop.  Each replica draws its own ``dW`` per step from its
+``(seed, replica, step)`` stream, and its legs share it: a single run is one
+leg, and the coupled pairs of every perturbation size are legs
+``[u0] + [u0 + delta * pert for delta in deltas]`` on one noise path.  That
+is the setting in which pathwise uniqueness is probed numerically: the
+difference field of a pair started from identical data is identically zero,
+and for small initial perturbations the difference should shrink with the
+perturbation.  Each (replica, leg) row is bitwise the run it would be alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,9 +30,11 @@ from .errors import (
     DomainError,
     ExtrapolationError,
     InputError,
+    SpectralError,
 )
 from .kernels import KernelSpec, semigroup_multiplier
-from .noise import GridSpec, NoiseField, RngStream, _amplitudes_cached, read_field, synthesize
+from .noise import GridSpec, NoiseField, RngStream, read_field
+from .noise import _amplitudes_cached, _draw_spectrum, _draw_std, _fields
 
 SIGMA_KINDS = ("lipschitz-linear", "holder-power", "sqrt-plus", "viot", "table")
 
@@ -207,27 +213,41 @@ class Trajectory:
         raise InputError(f"no snapshot at t={t}")
 
 
+@lru_cache(maxsize=64)
 def _heat_multiplier_half(grid: GridSpec, dt: float) -> np.ndarray:
-    """Semigroup multiplier on the rfft frequency layout."""
+    """Semigroup multiplier on the rfft frequency layout (cached; read-only)."""
     xi_half = np.fft.rfftfreq(grid.n, d=grid.h)
     if grid.dim == 1:
-        return semigroup_multiplier(xi_half, dt)
-    xi_full = np.fft.fftfreq(grid.n, d=grid.h)
-    sq = xi_full[:, None] ** 2 + xi_half[None, :] ** 2
-    return np.exp(-2.0 * np.pi**2 * sq * dt)
+        mult = semigroup_multiplier(xi_half, dt)
+    else:
+        xi_full = np.fft.fftfreq(grid.n, d=grid.h)
+        sq = xi_full[:, None] ** 2 + xi_half[None, :] ** 2
+        mult = np.exp(-2.0 * np.pi**2 * sq * dt)
+    mult.flags.writeable = False
+    return mult
 
 
 class _Stepper:
-    """Precomputed spectral machinery for one (grid, kernel, sigma, dt) combo."""
+    """Precomputed spectral machinery for one (grid, kernel, sigma, dt) combo.
+
+    The mode standard deviations are validated once, here; each step then
+    draws and inverts its spectra directly, as ``synthesize`` would.
+    """
 
     def __init__(self, grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, dt: float):
         self.grid = grid
         self.sspec = sspec
         self.multiplier = _heat_multiplier_half(grid, dt)
-        self.mode_std = _amplitudes_cached(grid, kspec) * np.sqrt(dt)
+        mode_std = _amplitudes_cached(grid, kspec) * np.sqrt(dt)
+        if not np.all(np.isfinite(mode_std)) or np.any(mode_std < 0):
+            raise SpectralError("mode standard deviations must be finite and >= 0")
+        self.draw_std = _draw_std(grid, mode_std)
 
-    def sample_dw(self, stream: RngStream) -> np.ndarray:
-        return synthesize(self.grid, self.mode_std, stream.generator())
+    def sample_dw(self, streams) -> np.ndarray:
+        """One increment per stream, stacked; row ``r`` is bitwise ``synthesize`` of ``streams[r]``."""
+        return _fields(self.grid, np.stack(
+            [_draw_spectrum(self.grid, self.draw_std, s.generator()) for s in streams]
+        ))
 
     def heat(self, values: np.ndarray) -> np.ndarray:
         if self.grid.dim == 1:
@@ -300,45 +320,57 @@ def _integrate(
     sspec: SigmaSpec,
     u0_spec: InitialCondition,
     legs0,
-    stream: RngStream,
+    streams,
     snapshot_times,
     clip: bool = False,
-) -> list[Trajectory]:
-    """Step the initial fields ``legs0``, stacked on a leading legs axis,
-    under one shared noise path; returns one Trajectory per leg.
+) -> list[list[Trajectory]]:
+    """Step the initial fields ``legs0``, nested ``[replica][leg]``, as one
+    ``(replicas, legs, *grid)`` stack; returns Trajectories nested the same way.
 
-    Step ``m`` draws one ``dW`` from ``stream.at_step(m - 1)`` and broadcasts
-    it over the legs.  The FFTs transform each leg as an independent row, so
-    every leg is bitwise the run it would be on its own.  A blow-up raises
-    BlowUpError carrying ``partial_trajectories`` (``complete=False``).
+    Step ``m`` draws replica ``r``'s ``dW`` from ``streams[r].at_step(m - 1)``
+    and broadcasts it over that replica's legs.  The FFTs transform each
+    (replica, leg) row independently, so every row is bitwise the run it would
+    be on its own.  A blow-up stops the batch at the first step where any
+    replica is non-finite; the BlowUpError names that step and the lowest
+    replica id at it, and carries that replica's ``partial_trajectories``
+    (``complete=False``).
     """
     dt = grid.dt
     want = _snapshot_steps(dt, snapshot_times)
     stepper = _Stepper(grid, kspec, sspec, dt)
-    u = np.stack(legs0)
-    fingerprint = config_fingerprint(grid, kspec, sspec, u0_spec, stream)
-    grid_axes = tuple(range(1, u.ndim))
+    u = np.array(legs0, dtype=float)
+    shape = u.shape[:2]
+    grid_axes = tuple(range(2, u.ndim))
+    fingerprints = [config_fingerprint(grid, kspec, sspec, u0_spec, s) for s in streams]
     hi = 1.0 if sspec.kind == "viot" else np.inf
 
-    fields: list[list[Field]] = [[] for _ in legs0]
+    # one copy of the stack per snapshot; Fields are views of it
+    snaps: list[np.ndarray] = []
     times: list[float] = []
-    clip_count = np.zeros(len(legs0), dtype=np.int64)
-    clip_max = np.zeros(len(legs0))
+    clip_count = np.zeros(shape, dtype=np.int64)
+    clip_max = np.zeros(shape)
 
-    def trajectories(complete: bool) -> list[Trajectory]:
+    def trajectories(r: int, complete: bool) -> list[Trajectory]:
         return [
-            Trajectory(fingerprint=fingerprint, grid=grid, times=tuple(times), fields=leg,
-                       clip_count=int(count), clip_max=float(worst), complete=complete)
-            for leg, count, worst in zip(fields, clip_count, clip_max)
+            Trajectory(fingerprint=fingerprints[r], grid=grid, times=tuple(times),
+                       fields=[Field(grid=grid, t=t, values=snap[r, k]) for t, snap in zip(times, snaps)],
+                       clip_count=int(clip_count[r, k]), clip_max=float(clip_max[r, k]),
+                       complete=complete)
+            for k in range(shape[1])
         ]
 
     last = max(want) if want else 0
     for m in range(last + 1):
         if m > 0:
-            u = stepper.step(u, stepper.sample_dw(stream.at_step(m - 1)))
-            if not np.all(np.isfinite(u)):
-                err = BlowUpError(f"non-finite values at step {m} (t={m * dt})", step_index=m)
-                err.partial_trajectories = trajectories(complete=False)
+            dw = stepper.sample_dw([s.at_step(m - 1) for s in streams])
+            u = stepper.step(u, dw[:, None])
+            finite = np.isfinite(u)
+            if not np.all(finite):
+                r = int(np.argmin(finite.reshape(shape[0], -1).all(axis=1)))
+                rid = streams[r].replica_id
+                err = BlowUpError(f"non-finite values at step {m} (t={m * dt}) in replica {rid}",
+                                  step_index=m, replica_id=rid)
+                err.partial_trajectories = trajectories(r, complete=False)
                 raise err
             if clip:
                 mask = (u < 0.0) | (u > hi)
@@ -348,11 +380,31 @@ def _integrate(
                     clip_max = np.maximum(clip_max, np.max(np.abs(u - clipped), axis=grid_axes))
                     u = clipped
         if m in want:
-            # one copy per leg; keeping the stack as well would double snapshot memory
-            for leg, values in zip(fields, u):
-                leg.append(Field(grid=grid, t=want[m], values=values.copy()))
+            snaps.append(u.copy())
             times.append(want[m])
-    return trajectories(complete=True)
+    return [trajectories(r, complete=True) for r in range(shape[0])]
+
+
+def simulate_replicas(
+    grid: GridSpec,
+    kspec: KernelSpec,
+    sspec: SigmaSpec,
+    u0_spec: InitialCondition,
+    streams,
+    snapshot_times,
+    clip: bool = False,
+) -> list[Trajectory]:
+    """Integrate one trajectory per stream as one batch; entry ``r`` is
+    bitwise ``simulate`` with ``streams[r]``.  A blow-up error carries the
+    ``partial_trajectory`` of the replica it names.
+    """
+    legs0 = [[u0_spec.evaluate(grid)]] * len(streams)
+    try:
+        batch = _integrate(grid, kspec, sspec, u0_spec, legs0, streams, snapshot_times, clip)
+    except BlowUpError as err:
+        (err.partial_trajectory,) = err.partial_trajectories
+        raise
+    return [traj for (traj,) in batch]
 
 
 def simulate(
@@ -372,12 +424,7 @@ def simulate(
     well-defined for negative values because the square-root coefficients
     clamp internally.  A blow-up error carries ``partial_trajectory``.
     """
-    legs0 = [u0_spec.evaluate(grid)]
-    try:
-        (traj,) = _integrate(grid, kspec, sspec, u0_spec, legs0, stream, snapshot_times, clip)
-    except BlowUpError as err:
-        (err.partial_trajectory,) = err.partial_trajectories
-        raise
+    (traj,) = simulate_replicas(grid, kspec, sspec, u0_spec, [stream], snapshot_times, clip)
     return traj
 
 
@@ -399,12 +446,45 @@ class SolutionPair:
         return self.traj_a.times
 
 
-def _pair(delta: float, traj_a: Trajectory, traj_b: Trajectory) -> SolutionPair:
-    diffs = [
-        Field(grid=fa.grid, t=fa.t, values=fa.values - fb.values)
-        for fa, fb in zip(traj_a.fields, traj_b.fields)
+def _pairs(deltas, trajs: list[Trajectory]) -> list[SolutionPair]:
+    """Pair leg 0 with leg ``k + 1`` for ``deltas[k]``."""
+    traj_a = trajs[0]
+    return [
+        SolutionPair(delta=delta, traj_a=traj_a, traj_b=traj_b, diffs=[
+            Field(grid=fa.grid, t=fa.t, values=fa.values - fb.values)
+            for fa, fb in zip(traj_a.fields, traj_b.fields)
+        ])
+        for delta, traj_b in zip(deltas, trajs[1:])
     ]
-    return SolutionPair(delta=delta, traj_a=traj_a, traj_b=traj_b, diffs=diffs)
+
+
+def simulate_pairs(
+    grid: GridSpec,
+    kspec: KernelSpec,
+    sspec: SigmaSpec,
+    u0_spec: InitialCondition,
+    perturbation: InitialCondition | None,
+    deltas,
+    streams,
+    snapshot_times,
+) -> list[list[SolutionPair]]:
+    """Coupled pairs for every delta and every stream in one batch.
+
+    Each replica steps legs ``[u0] + [u0 + d * perturbation for d in deltas]``
+    on its one noise path, and its pair for ``deltas[k]`` is (leg 0, leg
+    ``k + 1``).  Returns ``[replica][delta]``; entry ``[r][k]`` is bitwise
+    ``simulate_pair`` with ``deltas[k]`` and ``streams[r]``.  A blow-up error
+    carries the ``partial_pairs`` of the replica it names.
+    """
+    u0 = u0_spec.evaluate(grid)
+    pert = perturbation.evaluate(grid) if perturbation is not None and any(deltas) else None
+    legs = [u0] + [u0 + d * pert if d != 0.0 and pert is not None else u0 for d in deltas]
+    try:
+        batch = _integrate(grid, kspec, sspec, u0_spec, [legs] * len(streams), streams, snapshot_times)
+    except BlowUpError as err:
+        err.partial_pairs = _pairs(deltas, err.partial_trajectories)
+        raise
+    return [_pairs(deltas, trajs) for trajs in batch]
 
 
 def simulate_pair(
@@ -421,12 +501,10 @@ def simulate_pair(
     ``u0 + delta * perturbation``.  ``delta = 0`` reproduces leg a bitwise.
     A blow-up error carries ``partial_pair``, diffs up to the last good step.
     """
-    legs0 = [u0_spec.evaluate(grid)] * 2
-    if delta != 0.0 and perturbation is not None:
-        legs0[1] = legs0[0] + delta * perturbation.evaluate(grid)
     try:
-        traj_a, traj_b = _integrate(grid, kspec, sspec, u0_spec, legs0, stream, snapshot_times)
+        ((pair,),) = simulate_pairs(grid, kspec, sspec, u0_spec, perturbation, [delta], [stream],
+                                    snapshot_times)
     except BlowUpError as err:
-        err.partial_pair = _pair(delta, *err.partial_trajectories)
+        (err.partial_pair,) = err.partial_pairs
         raise
-    return _pair(delta, traj_a, traj_b)
+    return pair

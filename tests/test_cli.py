@@ -1,5 +1,6 @@
 """CLI orchestration: exit codes, artifacts, determinism, config handling."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -18,6 +19,20 @@ FAST_SIM = [
     "--set", "grid.t_end=0.002",
     "--set", "holder.snap_every=8",
 ]
+
+
+# small configs for the chunking tests: 5 replicas split unevenly over 2 and 3 threads
+CHUNK_ARGS = {
+    "uniqueness": [*FAST_SIM, "--set", "pair.deltas=0,0.1,0.01"],
+    "small-value": [
+        "--set", "grid.n=512", "--set", "grid.t_end=0.0015", "--set", "sigma.kind=holder-power",
+        "--set", "sigma.gamma=0.5", "--set", "sigma.scale=2.0", "--set", "holder.snap_every=16",
+    ],
+    "holder": [
+        "--set", "grid.n=512", "--set", "grid.t_end=0.0002", "--set", "holder.snap_every=4",
+        "--set", "holder.lags=2,4,8,16", "--set", "holder.tsteps=4,8,16,32",
+    ],
+}
 
 
 def run_cli(args, env_extra=None):
@@ -213,6 +228,34 @@ class TestDeterminism:
         assert pa.returncode == 0 and pb.returncode == 0
         assert read_tree(a) == read_tree(b)
 
+    @pytest.mark.parametrize("command", sorted(CHUNK_ARGS))
+    def test_replica_chunks_do_not_change_bytes(self, tmp_path, command):
+        args = [command, *CHUNK_ARGS[command], "--replicas", "5", "--seed", "3"]
+        trees = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / threads
+            proc = run_cli([*args, "--out", str(out)], env_extra={"SPDELAB_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1] == trees[2]
+
+    def test_blow_up_message_does_not_depend_on_threads(self, tmp_path):
+        # seed 2: replicas 0-3 blow up at step 22 and replica 4 at step 21, so
+        # every chunking must report replica 4, the first step's lowest id
+        args = [
+            "holder", "--set", "grid.n=64", "--set", "grid.t_end=0.01",
+            "--set", "kernel.kind=bounded-constant", "--set", "sigma.scale=1e12",
+            "--set", "u0.value=1e100", "--replicas", "5", "--seed", "2",
+        ]
+        messages = []
+        for threads in ("1", "3"):
+            proc = run_cli([*args, "--out", str(tmp_path / threads)], env_extra={"SPDELAB_THREADS": threads})
+            assert proc.returncode == 4
+            messages.append(proc.stderr)
+        assert messages[0] == messages[1]
+        assert "non-finite values at step 21 " in messages[0]
+        assert messages[0].rstrip().endswith("in replica 4")
+
     def test_holder_small_run(self, tmp_path):
         out = tmp_path / "o"
         proc = run_cli(
@@ -243,3 +286,27 @@ class TestDeterminism:
         rows = (out / "smallvalue.csv").read_text().splitlines()
         assert rows[0].startswith("eps,xi,exponent_conditional,exponent_unconditional,gap")
         assert len(rows) >= 2
+
+
+class TestGoldenBytes:
+    """SHA-256 of small uniqueness artifacts, recorded before replicas and
+    perturbation sizes were batched onto one noise path per replica."""
+
+    def test_uniqueness_artifacts_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPDELAB_THREADS", "1")
+        out = tmp_path / "o"
+        code = main(
+            ["uniqueness", "--set", "grid.n=64", "--set", "grid.dt=0.0001220703125",
+             "--set", "grid.t_end=0.03125", "--set", "holder.snap_every=32",
+             "--set", "pair.deltas=0,0.1,0.01", "--set", "sigma.kind=holder-power",
+             "--set", "sigma.gamma=0.8", "--replicas", "3", "--seed", "5", "--out", str(out)]
+        )
+        assert code == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("uniqueness_decay.csv", "uniqueness_summary.csv")
+        }
+        assert digests == {
+            "uniqueness_decay.csv": "ab212dc105f803462cfa4b1267be127b8cb6c708d6458f9c91908be3b112cb35",
+            "uniqueness_summary.csv": "42de20301b179cfd5deaffe59fb2f9a358ed5cb4b94293c7e8252a614f116add",
+        }

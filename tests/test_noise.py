@@ -16,6 +16,7 @@ from spdelab.noise import (
     synthesize,
     write_field,
 )
+from spdelab.noise import _fields
 
 
 def grid1d(n=512, l=1.0, **kw):
@@ -162,6 +163,18 @@ class TestSampleIncrement:
         complex_field = np.fft.ifft2(std * z) * g.n**2
         assert np.max(np.abs(complex_field.imag)) < 1e-12
         assert np.array_equal(field, complex_field.real)
+
+    def test_2d_residue_is_checked_per_draw(self):
+        # a stack of draws: the small one's residue must be judged against its
+        # own scale (1), not the large one's (1e6), under which it would pass
+        g = GridSpec(dim=2, n=8, l=1.0, t_end=1.0)
+        large = np.zeros(g.shape, dtype=complex)
+        large[0, 0] = 1e6
+        small = np.zeros(g.shape, dtype=complex)
+        small[0, 0] = 1e-4j
+        assert np.array_equal(_fields(g, large[None])[0], np.full(g.shape, 1e6))
+        with pytest.raises(SpectralError):
+            _fields(g, np.stack([large, small]))
 
     def test_renormalized_alpha_up_approaches_white(self):
         # deterministic spectral statement: the lag-(4h) correlation of the

@@ -17,10 +17,13 @@ from spdelab.solver import (
     Field,
     InitialCondition,
     SigmaSpec,
+    _integrate,
     initial_field,
     sigma_eval,
     simulate,
     simulate_pair,
+    simulate_pairs,
+    simulate_replicas,
     step,
 )
 
@@ -348,3 +351,106 @@ class TestSimulatePair:
                 assert np.array_equal(f_leg.values, f_alone.values)
         for d, fa, fb in zip(pair.diffs, traj_a.fields, traj_b.fields, strict=True):
             assert np.array_equal(d.values, fa.values - fb.values)
+
+
+def grid_for(dim):
+    if dim == 1:
+        return grid1d(n=128), KernelSpec(kind="riesz", alpha=0.5)
+    return GridSpec(dim=2, n=32, l=1.0, t_end=16 * (1.0 / 32) ** 2), KernelSpec(kind="riesz", alpha=1.0, dim=2)
+
+
+def file_ic(g, k, values, path):
+    write_field(NoiseField(grid=g, values=values, kernel=k, stream=RngStream(0), dt=g.dt), path)
+    return InitialCondition(kind="file", path=str(path))
+
+
+def assert_same_run(batched, alone):
+    assert batched.times == alone.times
+    assert batched.fingerprint == alone.fingerprint
+    assert (batched.clip_count, batched.clip_max) == (alone.clip_count, alone.clip_max)
+    for f_batch, f_alone in zip(batched.fields, alone.fields, strict=True):
+        assert np.array_equal(f_batch.values, f_alone.values)
+
+
+class TestBatch:
+    """A (replicas, legs) batch is bitwise the per-replica, per-leg runs."""
+
+    def test_clipped_replicas_and_legs_match_single_runs(self, tmp_path):
+        g = grid1d(n=128)
+        k = KernelSpec(kind="riesz", alpha=0.5, amplitude=200.0)
+        sig = SigmaSpec(kind="holder-power", gamma=0.7)
+        u0 = InitialCondition(kind="constant", value=0.05)
+        start_b = u0.evaluate(g) + 0.37 * InitialCondition(kind="sine", k=2).evaluate(g)
+        u0_b = file_ic(g, k, start_b, tmp_path / "u0b.bin")
+        streams = [RngStream(21, r) for r in (0, 1, 2)]
+        times = [0.0, 8 * g.dt, 16 * g.dt]
+        legs0 = [[u0.evaluate(g), start_b]] * len(streams)
+        batch = _integrate(g, k, sig, u0, legs0, streams, times, clip=True)
+        for stream, (leg_a, leg_b) in zip(streams, batch, strict=True):
+            assert_same_run(leg_a, simulate(g, k, sig, u0, stream, times, clip=True))
+            alone_b = simulate(g, k, sig, u0_b, stream, times, clip=True)
+            assert leg_b.fingerprint != alone_b.fingerprint  # fingerprints name the batch's u0
+            alone_b.fingerprint = leg_b.fingerprint
+            assert_same_run(leg_b, alone_b)
+        counts = [[t.clip_count for t in legs] for legs in batch]
+        assert min(min(c) for c in counts) > 0 and len({c for row in counts for c in row}) > 1
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_replicas_match_simulate(self, dim):
+        g, k = grid_for(dim)
+        sig = SigmaSpec(kind="holder-power", gamma=0.7)
+        u0 = InitialCondition(kind="constant", value=1.0)
+        streams = [RngStream(5, r) for r in (0, 1, 2)]
+        times = [0.0, 8 * g.dt, 16 * g.dt]
+        batch = simulate_replicas(g, k, sig, u0, streams, times)
+        for stream, traj in zip(streams, batch, strict=True):
+            assert_same_run(traj, simulate(g, k, sig, u0, stream, times))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_deltas_as_legs_match_simulate_pair(self, dim):
+        g, k = grid_for(dim)
+        sig = SigmaSpec(kind="holder-power", gamma=0.8)
+        u0 = InitialCondition(kind="constant", value=1.0)
+        pert = InitialCondition(kind="bump", center=0.5, width=0.1, height=1.0)
+        deltas = [0.0, 0.1, 0.01]
+        streams = [RngStream(4, r) for r in (0, 1, 2)]
+        times = [0.0, 8 * g.dt, 16 * g.dt]
+        batch = simulate_pairs(g, k, sig, u0, pert, deltas, streams, times)
+        for stream, pairs in zip(streams, batch, strict=True):
+            for delta, pair in zip(deltas, pairs, strict=True):
+                alone = simulate_pair(g, k, sig, u0, pert, delta, stream, times)
+                assert pair.delta == delta
+                assert_same_run(pair.traj_a, alone.traj_a)
+                assert_same_run(pair.traj_b, alone.traj_b)
+                for d_batch, d_alone in zip(pair.diffs, alone.diffs, strict=True):
+                    assert np.array_equal(d_batch.values, d_alone.values)
+            assert all(np.all(d.values == 0.0) for d in pairs[0].diffs)
+
+    def test_blow_up_names_first_step_then_lowest_replica(self):
+        # per-replica blow-up steps for seed 2 are 22, 22, 22, 22, 21
+        g = grid1d(n=64, l=1.0, t_end=0.01)
+        k = KernelSpec(kind="bounded-constant", amplitude=1.0)
+        sig = SigmaSpec(kind="lipschitz-linear", scale=1e12)
+        u0 = InitialCondition(kind="constant", value=1e100)
+        pert = InitialCondition(kind="bump", center=0.5, width=0.1, height=1.0)
+        times = [m * g.dt for m in range(0, 81, 8)]
+        streams = [RngStream(2, r) for r in range(5)]
+        alone = []
+        for s in streams:
+            with pytest.raises(BlowUpError) as exc:
+                simulate(g, k, sig, u0, s, times)
+            alone.append(exc.value)
+        first = min(alone, key=lambda e: (e.step_index, e.replica_id))
+        assert first.replica_id != 0
+        with pytest.raises(BlowUpError) as exc:
+            simulate_replicas(g, k, sig, u0, streams, times)
+        err = exc.value
+        assert (str(err), err.step_index, err.replica_id) == (str(first), first.step_index, first.replica_id)
+        assert f"in replica {first.replica_id}" in str(err)
+        assert not err.partial_trajectory.complete
+        assert_same_run(err.partial_trajectory, first.partial_trajectory)
+        with pytest.raises(BlowUpError) as exc:
+            simulate_pairs(g, k, sig, u0, pert, [0.0, 0.1], streams, times)
+        assert str(exc.value) == str(first)
+        assert [p.delta for p in exc.value.partial_pairs] == [0.0, 0.1]
+        assert_same_run(exc.value.partial_pairs[1].traj_a, first.partial_trajectory)
