@@ -39,7 +39,6 @@ from .estimators import (
     conditional_regularity,
     default_conditioning_exponent,
     holder_exponent,
-    structure_function,
     uniqueness_gap,
 )
 from .kernels import classify_regime
@@ -228,13 +227,10 @@ def _cmd_holder(cfg: ExperimentConfig, gated: bool) -> int:
     rep_t = holder_exponent(trajs, p=p, direction="time", lags=time_lags, order=1)
 
     out = _outdir(cfg)
-    srows = structure_function(trajs, p=p, direction="space", lags=space_lags, order=order)
-    trows = structure_function(trajs, p=p, direction="time", lags=time_lags, order=1)
     _write_csv(
         out / "structure.csv",
         ["direction", "lag", "moment", "stderr", "n_samples"],
-        [["space", r.lag, r.moment, r.stderr, r.n_samples] for r in srows]
-        + [["time", r.lag, r.moment, r.stderr, r.n_samples] for r in trows],
+        [[rep.direction, r.lag, r.moment, r.stderr, r.n_samples] for rep in (rep_s, rep_t) for r in rep.rows],
         cfg,
     )
     _write_csv(

@@ -12,6 +12,13 @@ of a finite-horizon run, which otherwise leak into first differences and
 flatten the measured slope.  First differences remain the default and the
 contractual meaning of :func:`structure_function`.
 
+Every estimator here shares one structure-function path: one increment
+helper, one spatial-lag check and one window filter.  Time lags and the
+snapshot times in the window must lie on the grid's ``dt`` lattice; snapshots
+are matched by integer step, each to the one exactly the lag's number of
+steps later.  A :class:`HolderReport` keeps the MomentRows it fitted in
+``rows``.
+
 Small-value conditioning restricts the anchors of the structure function to
 space-time points where the difference field of a coupled pair is below
 ``eps^xi`` somewhere within distance ``eps`` -- the numerically checkable
@@ -27,9 +34,9 @@ import numpy as np
 from scipy.ndimage import minimum_filter1d
 
 from .errors import DomainError, InputError, InsufficientDataError
-from .solver import SolutionPair, Trajectory
+from .solver import SolutionPair, Trajectory, _snapshot_steps
 
-_TIME_MATCH_TOL = 1e-9
+_WINDOW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,8 @@ class HolderReport:
 
     ``exponent = slope / p`` estimates the scaling exponent; ``stderr`` is the
     regression standard error of that ratio.  ``conditioning`` describes a
-    small-value restriction of the anchor set, if any.
+    small-value restriction of the anchor set, if any.  ``rows`` are the
+    MomentRows that were fitted, one per lag.
     """
 
     direction: str
@@ -59,6 +67,7 @@ class HolderReport:
     order: int = 1
     conditioning: str | None = None
     n_samples: int = 0
+    rows: tuple = ()
 
 
 def _as_traj_list(trajs) -> list[Trajectory]:
@@ -70,8 +79,7 @@ def _as_traj_list(trajs) -> list[Trajectory]:
     return out
 
 
-def _window_of(trajs, window):
-    grid = trajs[0].grid
+def _window_of(grid, window):
     if window is None:
         window = (grid.t_min, grid.t_end)
     t0, t1 = window
@@ -80,22 +88,48 @@ def _window_of(trajs, window):
     return (float(t0), float(t1))
 
 
-def _snapshots_in(traj: Trajectory, window) -> list:
+def _in_window(fields, window) -> list:
     t0, t1 = window
-    tol = _TIME_MATCH_TOL * max(1.0, abs(t1))
-    return [f for f in traj.fields if t0 - tol <= f.t <= t1 + tol]
+    tol = _WINDOW_TOL * max(1.0, abs(t1))
+    return [f for f in fields if t0 - tol <= f.t <= t1 + tol]
 
 
-def _spatial_moments(values: np.ndarray, offset: int, p: float, order: int, wrap: bool) -> float:
-    if order == 1:
-        diff = np.roll(values, -offset, axis=0) - values
+def _lag_cells(grid, lag) -> int:
+    """A spatial lag as a whole number of cells in ``[1, n/2]``; longer lags
+    would alias through the periodic wrap."""
+    g = lag / grid.h
+    gi = int(round(g))
+    if abs(g - gi) > 1e-9 or gi < 1 or gi > grid.n // 2:
+        raise InputError(f"spatial lag {lag} not resolvable on the grid")
+    return gi
+
+
+def _lag_steps(grid, lag) -> int:
+    """A time lag as a whole, positive number of steps of the ``dt`` lattice."""
+    try:
+        (m,) = _snapshot_steps(grid.dt, [lag])
+    except DomainError:
+        m = 0
+    if m < 1:
+        raise DomainError(f"time lag {lag} is not a positive multiple of dt={grid.dt}")
+    return m
+
+
+def _increment_power(values, p, order=1, cells=0, later=None, wrap=True) -> np.ndarray:
+    """``|increment|^p`` at every anchor: ``later - values`` for a time lag,
+    else the order-1 or order-2 difference at ``cells`` along axis 0, without
+    the anchors that cross the periodic seam when ``wrap`` is False."""
+    if later is not None:
+        diff = later - values
+    elif order == 1:
+        diff = np.roll(values, -cells, axis=0) - values
         if not wrap:
-            diff = diff[:-offset]
+            diff = diff[:-cells]
     else:
-        diff = np.roll(values, -offset, axis=0) - 2.0 * values + np.roll(values, offset, axis=0)
+        diff = np.roll(values, -cells, axis=0) - 2.0 * values + np.roll(values, cells, axis=0)
         if not wrap:
-            diff = diff[offset:-offset]
-    return float(np.mean(np.abs(diff) ** p))
+            diff = diff[cells:-cells]
+    return np.abs(diff) ** p
 
 
 def structure_function(
@@ -109,14 +143,17 @@ def structure_function(
 ) -> list[MomentRow]:
     """Moment table of field increments over all anchors in the window.
 
-    Spatial lags are physical separations (multiples of the grid spacing);
-    temporal lags are time differences between recorded snapshots.  The
-    standard error at each lag is the spread of the per-trajectory means.
-    ``wrap=False`` drops the anchors whose increment crosses the periodic
-    seam (for non-periodic deterministic profiles).
+    Spatial lags are physical separations (multiples of the grid spacing).
+    Temporal lags and the snapshot times in the window must lie on the
+    ``dt`` lattice; each snapshot is paired with the one exactly the lag's
+    number of steps later, if it was recorded.  The standard error at each lag
+    is the spread of the per-trajectory means.  ``wrap=False`` drops the
+    anchors whose increment crosses the periodic seam (for non-periodic
+    deterministic profiles).
     """
     trajs = _as_traj_list(trajs)
-    window = _window_of(trajs, window)
+    grid = trajs[0].grid
+    window = _window_of(grid, window)
     if direction not in ("space", "time"):
         raise DomainError("direction must be 'space' or 'time'")
     if order not in (1, 2):
@@ -125,33 +162,29 @@ def structure_function(
         raise DomainError("order-2 increments are supported in space only")
     if lags is None:
         raise DomainError("lags must be given")
-    grid = trajs[0].grid
+    snaps = [_in_window(traj.fields, window) for traj in trajs]
+    if direction == "time":
+        by_step = [dict(zip(_snapshot_steps(grid.dt, [f.t for f in fs]), fs)) for fs in snaps]
 
     rows = []
     for lag in lags:
         per_traj = []
         n_anchors = 0
         if direction == "space":
-            g = lag / grid.h
-            gi = int(round(g))
-            if abs(g - gi) > 1e-9 or gi < 1 or gi > grid.n // 2:
-                raise InputError(f"spatial lag {lag} not resolvable on the grid")
-            for traj in trajs:
-                snaps = _snapshots_in(traj, window)
-                if snaps:
-                    per_traj.append(
-                        np.mean([_spatial_moments(f.values, gi, p, order, wrap) for f in snaps])
-                    )
-                    n_anchors += len(snaps) * grid.n_cells
+            cells = _lag_cells(grid, lag)
+            for fs in snaps:
+                if fs:
+                    moments = [np.mean(_increment_power(f.values, p, order, cells, wrap=wrap)) for f in fs]
+                    per_traj.append(np.mean(moments))
+                    n_anchors += len(fs) * grid.n_cells
         else:
-            tau = float(lag)
-            for traj in trajs:
-                snaps = _snapshots_in(traj, window)
-                vals = []
-                for i, fi in enumerate(snaps):
-                    for fj in snaps[i + 1 :]:
-                        if abs((fj.t - fi.t) - tau) <= 1e-6 * max(tau, 1e-30):
-                            vals.append(np.mean(np.abs(fj.values - fi.values) ** p))
+            m = _lag_steps(grid, lag)
+            for fs in by_step:
+                vals = [
+                    np.mean(_increment_power(f.values, p, later=fs[k + m].values))
+                    for k, f in fs.items()
+                    if k + m in fs
+                ]
                 if vals:
                     per_traj.append(np.mean(vals))
                     n_anchors += len(vals) * grid.n_cells
@@ -195,6 +228,23 @@ def _require_octaves(lags):
     return lags
 
 
+def _fit_report(rows, direction, p, window, order, n_samples, conditioning=None) -> HolderReport:
+    slope, slope_se = _fit_loglog([r.lag for r in rows], [r.moment for r in rows])
+    return HolderReport(
+        direction=direction,
+        p=p,
+        lags=tuple(r.lag for r in rows),
+        slope=slope,
+        exponent=slope / p,
+        stderr=max(slope_se / p, 1e-15),
+        window=window,
+        order=order,
+        conditioning=conditioning,
+        n_samples=n_samples,
+        rows=tuple(rows),
+    )
+
+
 def holder_exponent(
     trajs,
     p: float = 2.0,
@@ -206,20 +256,9 @@ def holder_exponent(
     """Scaling-exponent estimate: log-log slope of the structure function over p."""
     lags = _require_octaves(lags)
     trajs = _as_traj_list(trajs)
-    window = _window_of(trajs, window)
+    window = _window_of(trajs[0].grid, window)
     rows = structure_function(trajs, p=p, direction=direction, lags=lags, window=window, order=order)
-    slope, slope_se = _fit_loglog([r.lag for r in rows], [r.moment for r in rows])
-    return HolderReport(
-        direction=direction,
-        p=p,
-        lags=tuple(float(l) for l in lags),
-        slope=slope,
-        exponent=slope / p,
-        stderr=max(slope_se / p, 1e-15),
-        window=window,
-        order=order,
-        n_samples=sum(r.n_samples for r in rows),
-    )
+    return _fit_report(rows, direction, p, window, order, sum(r.n_samples for r in rows))
 
 
 @dataclass(frozen=True)
@@ -248,7 +287,7 @@ def weighted_sup_moment(trajs, p: float, lam: float, window=None) -> WeightedSup
         weight = np.exp(-lam * dist)
     stats = []
     for traj in trajs:
-        snaps = _snapshots_in(traj, window)
+        snaps = _in_window(traj.fields, window)
         if not snaps:
             raise InputError("no snapshots in window")
         stats.append(max(float(np.max(np.abs(f.values) ** p * weight)) for f in snaps))
@@ -341,69 +380,34 @@ def conditional_regularity(
     if lags is None:
         lags = [grid.h * g for g in (1, 2, 4, 8)]
     lags = _require_octaves(lags)
-    if window is None:
-        window = (grid.t_min, grid.t_end)
-    t0, t1 = window
+    cells = [_lag_cells(grid, lag) for lag in lags]
+    window = _window_of(grid, window)
 
-    snaps = [
-        f for pr in pairs for f in pr.diffs if t0 - 1e-12 <= f.t <= t1 + 1e-12
-    ]
+    snaps = [f for pr in pairs for f in _in_window(pr.diffs, window)]
     if not snaps:
         raise InputError("no difference snapshots in window")
     if max(float(np.max(np.abs(f.values))) for f in snaps) == 0.0:
         raise DomainError("conditioning degenerate: difference field is identically zero")
 
-    offsets = []
-    for lag in lags:
-        g = lag / grid.h
-        gi = int(round(g))
-        if abs(g - gi) > 1e-9 or gi < 1:
-            raise InputError(f"lag {lag} not resolvable")
-        offsets.append(gi)
-
-    def moments_with_mask(mask_per_snap):
+    def report(masks, conditioning=None):
+        """Fit of the anchor-pooled moments; ``masks[i]`` selects snapshot
+        ``i``'s anchors, None selects them all."""
         rows = []
-        total = None
-        for gi, lag in zip(offsets, lags):
+        for c, lag in zip(cells, lags):
             acc, cnt = 0.0, 0
-            for f, mask in zip(snaps, mask_per_snap):
-                if mask is None:
-                    sel = slice(None)
-                    m = grid.n
-                else:
-                    sel = mask
-                    m = int(np.count_nonzero(mask))
+            for f, mask in zip(snaps, masks):
+                m = grid.n if mask is None else int(np.count_nonzero(mask))
                 if m == 0:
                     continue
-                if order == 1:
-                    diff = np.roll(f.values, -gi) - f.values
-                else:
-                    diff = np.roll(f.values, -gi) - 2.0 * f.values + np.roll(f.values, gi)
-                acc += float(np.sum(np.abs(diff[sel]) ** p))
+                powers = _increment_power(f.values, p, order, c)
+                acc += float(np.sum(powers if mask is None else powers[mask]))
                 cnt += m
             if cnt == 0:
                 raise InsufficientDataError("empty anchor set", n_samples=0)
             rows.append(MomentRow(lag=float(lag), moment=acc / cnt, stderr=0.0, n_samples=cnt))
-            total = cnt
-        return rows, total
+        return _fit_report(rows, "space", p, window, order, rows[0].n_samples, conditioning)
 
-    def report_from(rows, conditioning):
-        slope, slope_se = _fit_loglog([r.lag for r in rows], [r.moment for r in rows])
-        return HolderReport(
-            direction="space",
-            p=p,
-            lags=tuple(float(l) for l in lags),
-            slope=slope,
-            exponent=slope / p,
-            stderr=max(slope_se / p, 1e-15),
-            window=(t0, t1),
-            order=order,
-            conditioning=conditioning,
-            n_samples=rows[0].n_samples,
-        )
-
-    rows_u, _ = moments_with_mask([None] * len(snaps))
-    unconditional = report_from(rows_u, None)
+    unconditional = report([None] * len(snaps))
 
     conditional = []
     gaps = []
@@ -427,8 +431,7 @@ def conditional_regularity(
                 n_samples=occupied,
                 occupancy=occupancy,
             )
-        rows_c, _ = moments_with_mask(masks)
-        rep = report_from(rows_c, f"small-value xi={xi:g} eps={float(eps):g}")
+        rep = report(masks, f"small-value xi={xi:g} eps={float(eps):g}")
         conditional.append(rep)
         gaps.append(rep.exponent - unconditional.exponent)
 

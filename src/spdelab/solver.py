@@ -206,12 +206,6 @@ class Trajectory:
     clip_max: float = 0.0
     complete: bool = True
 
-    def snapshot(self, t: float) -> Field:
-        for f in self.fields:
-            if abs(f.t - t) <= 1e-12 * max(1.0, abs(t)):
-                return f
-        raise InputError(f"no snapshot at t={t}")
-
 
 @lru_cache(maxsize=64)
 def _heat_multiplier_half(grid: GridSpec, dt: float) -> np.ndarray:

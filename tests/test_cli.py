@@ -127,6 +127,12 @@ class TestExitCodes:
         proc = run_cli(["noise-check", "--set", "grid.n=100", "--out", str(tmp_path / "o")])
         assert proc.returncode == 3
 
+    def test_small_value_lag_beyond_half_grid_is_3(self, tmp_path):
+        # a 40-cell lag on n=64 would alias through the periodic wrap
+        code = main(["small-value", "--set", "grid.n=64", "--set", "smallvalue.lags=1,2,4,40",
+                     "--replicas", "2", "--out", str(tmp_path / "o")])
+        assert code == 3
+
     @pytest.mark.parametrize("steps, replicas", [("2", "1"), ("1", "1"), ("0", "8"), ("-3", "8")])
     def test_degenerate_noise_check_sizes_are_3(self, tmp_path, steps, replicas):
         proc = run_cli(
@@ -288,9 +294,14 @@ class TestDeterminism:
         assert len(rows) >= 2
 
 
+def sha256_of(out, *names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
 class TestGoldenBytes:
-    """SHA-256 of small uniqueness artifacts, recorded before replicas and
-    perturbation sizes were batched onto one noise path per replica."""
+    """SHA-256 of small CLI artifacts.  The uniqueness values were recorded
+    before replicas and perturbation sizes were batched onto one noise path
+    per replica; the other tests name the change theirs were recorded before."""
 
     def test_uniqueness_artifacts_unchanged(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPDELAB_THREADS", "1")
@@ -309,4 +320,38 @@ class TestGoldenBytes:
         assert digests == {
             "uniqueness_decay.csv": "ab212dc105f803462cfa4b1267be127b8cb6c708d6458f9c91908be3b112cb35",
             "uniqueness_summary.csv": "42de20301b179cfd5deaffe59fb2f9a358ed5cb4b94293c7e8252a614f116add",
+        }
+
+    def test_holder_artifacts_unchanged(self, tmp_path, monkeypatch):
+        """Recorded before time lags were matched by integer step and
+        ``structure.csv`` was written from the fitted rows."""
+        monkeypatch.setenv("SPDELAB_THREADS", "1")
+        out = tmp_path / "o"
+        code = main(
+            ["holder", "--set", "grid.n=64", "--set", "grid.dt=0.0001220703125",
+             "--set", "grid.t_end=0.125", "--set", "holder.snap_every=8",
+             "--set", "holder.lags=2,4,8,16", "--set", "holder.tsteps=16,32,64,128",
+             "--replicas", "3", "--seed", "5", "--out", str(out)]
+        )
+        assert code == 0
+        assert sha256_of(out, "structure.csv", "holder.csv") == {
+            "structure.csv": "8079291ad824801bf1b70b2894b2b0e42eff0e320b299121c45d88e5eb56d069",
+            "holder.csv": "925edaef08b30e757081578e6f29408375c1728b3ce1ec6cf488f613943e1dd9",
+        }
+
+    def test_small_value_artifacts_unchanged(self, tmp_path, monkeypatch):
+        """Recorded before ``conditional_regularity`` shared the structure
+        function's increment, lag and window helpers (order-2 increments)."""
+        monkeypatch.setenv("SPDELAB_THREADS", "1")
+        out = tmp_path / "o"
+        code = main(
+            ["small-value", "--set", "grid.n=64", "--set", "grid.dt=0.0001220703125",
+             "--set", "grid.t_end=0.0625", "--set", "holder.snap_every=16",
+             "--set", "sigma.kind=holder-power", "--set", "sigma.gamma=0.5",
+             "--set", "sigma.scale=2.0", "--set", "smallvalue.eps_cells=2,4",
+             "--set", "smallvalue.xi=1.2", "--replicas", "3", "--seed", "5", "--out", str(out)]
+        )
+        assert code == 0
+        assert sha256_of(out, "smallvalue.csv") == {
+            "smallvalue.csv": "d5a69fb1c0119cb5620a0d54c4578a6f225978e486b5a6c5657d3118624df743",
         }

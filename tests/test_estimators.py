@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spdelab.errors import DomainError, InsufficientDataError
+from spdelab.errors import DomainError, InputError, InsufficientDataError
 from spdelab.estimators import (
     conditional_regularity,
     critical_exponent_limit,
@@ -77,7 +77,7 @@ class TestStructureFunction:
             structure_function(traj, p=2, direction="space", lags=[4 * g.h])
 
     def test_time_direction_pairs(self):
-        g = grid1d(n=256)
+        g = grid1d(n=256, dt=0.01)
         # linear-in-time field: |u(t+tau) - u(t)| = tau exactly
         times = [g.t_min + i * 0.01 for i in range(8)]
         traj = make_traj(g, [np.full(g.n, t) for t in times], times)
@@ -89,6 +89,55 @@ class TestStructureFunction:
         traj = make_traj(g, [np.zeros(g.n)])
         with pytest.raises(Exception):
             structure_function(traj, p=2, direction="space", lags=[g.h * 0.3])
+
+
+class TestStepIndexedTimeLags:
+    """Time lags and snapshot times lie on the dt lattice and pair by integer step."""
+
+    STEPS = (0, 16, 32, 64, 80, 128)
+
+    def uneven_traj(self):
+        g = grid1d(n=256, dt=0.001, t_min=0.0)
+        # step m holds the constant m^2, so every increment names its pair
+        arrays = [np.full(g.n, float(m * m)) for m in self.STEPS]
+        return g, make_traj(g, arrays, [m * g.dt for m in self.STEPS])
+
+    @pytest.mark.parametrize("lag_steps", [16, 32, 48, 64, 112, 128])
+    def test_uneven_snapshots_pair_by_step_difference(self, lag_steps):
+        g, traj = self.uneven_traj()
+        pairs = [(a, b) for a in self.STEPS for b in self.STEPS if b - a == lag_steps]
+        (row,) = structure_function(traj, p=1, direction="time", lags=[lag_steps * g.dt])
+        assert row.n_samples == len(pairs) * g.n
+        assert row.moment == pytest.approx(np.mean([b * b - a * a for a, b in pairs]), rel=1e-15)
+
+    def test_lag_without_partners_is_insufficient(self):
+        g, traj = self.uneven_traj()
+        with pytest.raises(InsufficientDataError):
+            structure_function(traj, p=1, direction="time", lags=[8 * g.dt])
+
+    def test_off_lattice_lag_is_domain_error(self):
+        g, traj = self.uneven_traj()
+        with pytest.raises(DomainError):
+            structure_function(traj, p=1, direction="time", lags=[16.5 * g.dt])
+
+    def test_off_lattice_snapshot_is_domain_error(self):
+        g = grid1d(n=256, dt=0.001, t_min=0.0)
+        traj = make_traj(g, [np.zeros(g.n)] * 3, [0.0, 0.0165, 0.032])
+        with pytest.raises(DomainError):
+            structure_function(traj, p=1, direction="time", lags=[0.016])
+
+    def test_holder_rows_are_the_structure_function(self):
+        g = grid1d(n=256, dt=0.001, t_min=0.0)
+        rng = np.random.default_rng(11)
+        trajs = [make_traj(g, np.cumsum(rng.standard_normal((40, g.n)), axis=0)) for _ in range(2)]
+        for direction, lags, order in (
+            ("space", [c * g.h for c in (1, 2, 4, 8)], 2),
+            ("time", [c * g.dt for c in (1, 2, 4, 8)], 1),
+        ):
+            rep = holder_exponent(trajs, p=2, direction=direction, lags=lags, order=order)
+            rows = structure_function(trajs, p=2, direction=direction, lags=lags, order=order)
+            assert rep.rows == tuple(rows)
+            assert rep.lags == tuple(r.lag for r in rows)
 
 
 class TestHolderExponent:
@@ -262,6 +311,14 @@ class TestConditionalRegularity:
         )
         for rep, gap in zip(res.conditional, res.gaps):
             assert gap >= -2.0 * (rep.stderr + res.unconditional.stderr)
+
+    def test_lag_beyond_half_grid_rejected(self):
+        grid, pairs = _noisy_pair(delta=0.1)
+        with pytest.raises(InputError):
+            conditional_regularity(
+                pairs, xi=0.875, eps_values=[4 * grid.h],
+                lags=[c * grid.h for c in (1, 2, 4, grid.n // 2 + 1)],
+            )
 
     def test_occupancy_reported(self):
         grid, pairs = _noisy_pair(delta=0.1, replicas=2)
