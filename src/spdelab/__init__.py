@@ -26,9 +26,7 @@ from .noise import (
     GridSpec,
     NoiseField,
     RngStream,
-    empirical_covariance,
     read_field,
-    sample_increment,
     spectral_amplitudes,
     synthesize,
     write_field,
@@ -42,10 +40,8 @@ from .solver import (
     initial_field,
     sigma_eval,
     simulate,
-    simulate_pair,
     simulate_pairs,
     simulate_replicas,
-    step,
 )
 from .ywtools import RhoSpec, YWFamily, a_sequence, build_family, calculus_bound_check, delta_approx_check
 from .estimators import (

@@ -484,7 +484,10 @@ def main(argv=None) -> int:
     except (DomainError, InsufficientDataError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 3
-    except (BlowUpError, OracleError, SpectralError) as exc:
+    except BlowUpError as exc:
+        print(f"numeric failure (config fingerprint {exc.fingerprint}): {exc}", file=sys.stderr)
+        return 4
+    except (OracleError, SpectralError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except SpdeLabError as exc:

@@ -30,12 +30,16 @@ class SpectralError(SpdeLabError):
 
 
 class BlowUpError(SpdeLabError):
-    """A simulated field left the representable range (NaN/Inf)."""
+    """A simulated field left the representable range (NaN/Inf).
 
-    def __init__(self, message, step_index=None, replica_id=None):
+    ``fingerprint`` is the config fingerprint of the replica that blew up.
+    """
+
+    def __init__(self, message, step_index=None, replica_id=None, fingerprint=None):
         super().__init__(message)
         self.step_index = step_index
         self.replica_id = replica_id
+        self.fingerprint = fingerprint
 
 
 class InsufficientDataError(SpdeLabError):

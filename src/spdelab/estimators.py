@@ -389,18 +389,20 @@ def conditional_regularity(
     if max(float(np.max(np.abs(f.values))) for f in snaps) == 0.0:
         raise DomainError("conditioning degenerate: difference field is identically zero")
 
+    # each snapshot's |increment|^p at each lag, computed once for every fit
+    powers = [[_increment_power(f.values, p, order, c) for f in snaps] for c in cells]
+
     def report(masks, conditioning=None):
         """Fit of the anchor-pooled moments; ``masks[i]`` selects snapshot
         ``i``'s anchors, None selects them all."""
         rows = []
-        for c, lag in zip(cells, lags):
+        for lag_powers, lag in zip(powers, lags):
             acc, cnt = 0.0, 0
-            for f, mask in zip(snaps, masks):
+            for pw, mask in zip(lag_powers, masks):
                 m = grid.n if mask is None else int(np.count_nonzero(mask))
                 if m == 0:
                     continue
-                powers = _increment_power(f.values, p, order, c)
-                acc += float(np.sum(powers if mask is None else powers[mask]))
+                acc += float(np.sum(pw if mask is None else pw[mask]))
                 cnt += m
             if cnt == 0:
                 raise InsufficientDataError("empty anchor set", n_samples=0)

@@ -234,41 +234,26 @@ def synthesize(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -
         raise InputError("mode_std shape does not match the grid")
     if not np.all(np.isfinite(mode_std)) or np.any(mode_std < 0):
         raise SpectralError("mode standard deviations must be finite and >= 0")
-    return _fields(grid, _draw_spectrum(grid, _draw_std(grid, mode_std), rng)[None])[0]
-
-
-def _draw_std(grid: GridSpec, mode_std: np.ndarray) -> np.ndarray:
-    """``mode_std`` scaled for ``_fields``: 1-D spectra are inverted by a plain ``irfft``."""
-    return grid.n * mode_std if grid.dim == 1 else mode_std
+    return _fields(grid, _draw_spectrum(grid, mode_std, rng)[None])[0]
 
 
 def _fields(grid: GridSpec, spectra: np.ndarray) -> np.ndarray:
     """Real fields of ``_draw_spectrum`` draws stacked on a leading axis.
 
-    Each row is transformed on its own, so it is bitwise the field of that
-    draw alone.  In 2-D every draw's imaginary residue is checked against
-    its own scale, never against one max over the stack.
+    The inverse DFT is unscaled (``norm="forward"``), so a field is the plain
+    sum of its modes.  Each row is transformed on its own, so it is bitwise
+    the field of that draw alone.  In 2-D every draw's imaginary residue is
+    checked against its own scale, never against one max over the stack.
     """
     if grid.dim == 1:
-        return np.fft.irfft(spectra, grid.n)
-    fields = np.fft.ifft2(spectra) * grid.n**2
+        return np.fft.irfft(spectra, grid.n, norm="forward")
+    fields = np.fft.ifft2(spectra, norm="forward")
     residue = np.max(np.abs(fields.imag), axis=(-2, -1))
     scale = np.maximum(1.0, np.max(np.abs(fields.real), axis=(-2, -1)))
     bad = np.flatnonzero(residue > 1e-9 * scale)
     if bad.size:
         raise SpectralError(f"imaginary residue {float(residue[bad[0]])} exceeds tolerance")
     return np.ascontiguousarray(fields.real)
-
-
-def sample_increment(
-    grid: GridSpec, kspec: KernelSpec, dt: float, stream: RngStream
-) -> NoiseField:
-    """Sample one noise increment with covariance ``dt * k`` at grid separations."""
-    if not dt > 0:
-        raise DomainError("dt must be > 0")
-    amps = _amplitudes_cached(grid, kspec) * np.sqrt(dt)
-    values = synthesize(grid, amps, stream.generator())
-    return NoiseField(grid=grid, values=values, kernel=kspec, stream=stream, dt=dt)
 
 
 @dataclass(frozen=True)
@@ -299,36 +284,6 @@ def _theory_cov(kspec: KernelSpec, grid: GridSpec, dt: float, lag: float) -> flo
     return float(dt * kernel_eval(kspec, lag))
 
 
-def _covariance_rows(per_replica: np.ndarray, lags, kspec, grid, dt) -> list[CovarianceRow]:
-    """One row per lag from a ``(replicas, lags)`` array; stderr from the replica spread."""
-    return [
-        CovarianceRow(lag=float(lag), estimate=float(np.mean(col)),
-                      stderr=float(np.std(col, ddof=1) / np.sqrt(len(col))),
-                      theory=_theory_cov(kspec, grid, dt, float(lag)))
-        for lag, col in zip(lags, per_replica.T)
-    ]
-
-
-def empirical_covariance(fields, lags) -> list[CovarianceRow]:
-    """Spatially-and-replica-averaged covariance estimates at the given lags.
-
-    Offsets are taken along the first axis; averaging over every anchor
-    (periodic wrap) is one ``irfft`` of each field's power spectrum along that
-    axis.  Standard errors come from the spread of the per-replica means.
-    """
-    fields = list(fields)
-    if len(fields) < 2:
-        raise InputError("need at least 2 fields for a covariance estimate")
-    grid, kspec, dt = fields[0].grid, fields[0].kernel, fields[0].dt
-    if any(f.grid != grid or f.kernel != kspec or f.dt != dt for f in fields[1:]):
-        raise InputError("all fields must share grid, kernel and dt")
-    offsets = _lag_offsets(grid, kspec, lags)
-    per_replica = np.array(
-        [np.fft.irfft(_power(np.fft.rfft(f.values, axis=0)), grid.n)[offsets] for f in fields]
-    ) / grid.n_cells
-    return _covariance_rows(per_replica, lags, kspec, grid, dt)
-
-
 def covariance_check(
     grid: GridSpec,
     kspec: KernelSpec,
@@ -342,9 +297,10 @@ def covariance_check(
 
     Each replica is one stream that contributes ``steps_per_replica``
     independent increments (distinct step indices).  No field is formed: by
-    Wiener-Khinchin, ``mean(x * roll(x, g))`` of ``x = irfft(n * S)`` is
-    ``irfft(n * |S|^2)[g]``, so each replica sums the power of its drawn
-    spectra ``S`` (over the trailing axes too in 2-D) and takes one ``irfft``.
+    Wiener-Khinchin, ``mean(x * roll(x, g))`` of the field
+    ``x = irfft(S, norm="forward")`` is ``irfft(n * |S|^2)[g]``, so each
+    replica sums the power of its drawn spectra ``S`` (over the trailing axes
+    too in 2-D) and takes one ``irfft``.
     The standard error comes from the spread of the per-replica means.  With a
     single increment per replica the estimator is noise-limited at large lags
     (its variance is dominated by the grid-scale mollified singularity), so
@@ -366,7 +322,12 @@ def covariance_check(
             rng = RngStream(master_seed, r, m).generator()
             power += _power(_draw_spectrum(grid, amps, rng))[:nh]
         per_replica[r] = np.fft.irfft(n * power, n)[offsets] / steps_per_replica
-    return _covariance_rows(per_replica, lags, kspec, grid, dt)
+    return [
+        CovarianceRow(lag=float(lag), estimate=float(np.mean(col)),
+                      stderr=float(np.std(col, ddof=1) / np.sqrt(len(col))),
+                      theory=_theory_cov(kspec, grid, dt, float(lag)))
+        for lag, col in zip(lags, per_replica.T)
+    ]
 
 
 def write_field(field: NoiseField, path) -> None:

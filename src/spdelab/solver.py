@@ -33,8 +33,8 @@ from .errors import (
     SpectralError,
 )
 from .kernels import KernelSpec, semigroup_multiplier
-from .noise import GridSpec, NoiseField, RngStream, read_field
-from .noise import _amplitudes_cached, _draw_spectrum, _draw_std, _fields
+from .noise import GridSpec, RngStream, read_field
+from .noise import _amplitudes_cached, _draw_spectrum, _fields
 
 SIGMA_KINDS = ("lipschitz-linear", "holder-power", "sqrt-plus", "viot", "table")
 
@@ -225,22 +225,21 @@ class _Stepper:
     """Precomputed spectral machinery for one (grid, kernel, sigma, dt) combo.
 
     The mode standard deviations are validated once, here; each step then
-    draws and inverts its spectra directly, as ``synthesize`` would.
+    draws and inverts its spectra with them, unscaled, as ``synthesize`` does.
     """
 
     def __init__(self, grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, dt: float):
         self.grid = grid
         self.sspec = sspec
         self.multiplier = _heat_multiplier_half(grid, dt)
-        mode_std = _amplitudes_cached(grid, kspec) * np.sqrt(dt)
-        if not np.all(np.isfinite(mode_std)) or np.any(mode_std < 0):
+        self.mode_std = _amplitudes_cached(grid, kspec) * np.sqrt(dt)
+        if not np.all(np.isfinite(self.mode_std)) or np.any(self.mode_std < 0):
             raise SpectralError("mode standard deviations must be finite and >= 0")
-        self.draw_std = _draw_std(grid, mode_std)
 
     def sample_dw(self, streams) -> np.ndarray:
         """One increment per stream, stacked; row ``r`` is bitwise ``synthesize`` of ``streams[r]``."""
         return _fields(self.grid, np.stack(
-            [_draw_spectrum(self.grid, self.draw_std, s.generator()) for s in streams]
+            [_draw_spectrum(self.grid, self.mode_std, s.generator()) for s in streams]
         ))
 
     def heat(self, values: np.ndarray) -> np.ndarray:
@@ -253,20 +252,6 @@ class _Stepper:
         # a blow-up error with the offending step index
         with np.errstate(invalid="ignore", over="ignore"):
             return self.heat(values + sigma_eval(self.sspec, values) * dw)
-
-
-def step(u: Field, dw: NoiseField, sspec: SigmaSpec) -> Field:
-    """One exponential-Euler increment ``S_dt(u + sigma(u) dW)``.
-
-    With ``dw`` identically zero this is exact heat flow of the grid data.
-    """
-    if u.grid != dw.grid:
-        raise InputError("field and noise increment live on different grids")
-    stepper = _Stepper(u.grid, dw.kernel, sspec, dw.dt)
-    out = stepper.step(u.values, dw.values)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError("non-finite values after step", step_index=None)
-    return Field(grid=u.grid, t=u.t + dw.dt, values=out)
 
 
 def _fingerprint(parts: dict) -> str:
@@ -325,9 +310,9 @@ def _integrate(
     and broadcasts it over that replica's legs.  The FFTs transform each
     (replica, leg) row independently, so every row is bitwise the run it would
     be on its own.  A blow-up stops the batch at the first step where any
-    replica is non-finite; the BlowUpError names that step and the lowest
-    replica id at it, and carries that replica's ``partial_trajectories``
-    (``complete=False``).
+    replica is non-finite; the BlowUpError names that step, the lowest
+    replica id at it and that replica's config fingerprint, and carries its
+    ``partial_trajectories`` (``complete=False``).
     """
     dt = grid.dt
     want = _snapshot_steps(dt, snapshot_times)
@@ -363,7 +348,7 @@ def _integrate(
                 r = int(np.argmin(finite.reshape(shape[0], -1).all(axis=1)))
                 rid = streams[r].replica_id
                 err = BlowUpError(f"non-finite values at step {m} (t={m * dt}) in replica {rid}",
-                                  step_index=m, replica_id=rid)
+                                  step_index=m, replica_id=rid, fingerprint=fingerprints[r])
                 err.partial_trajectories = trajectories(r, complete=False)
                 raise err
             if clip:
@@ -466,9 +451,10 @@ def simulate_pairs(
 
     Each replica steps legs ``[u0] + [u0 + d * perturbation for d in deltas]``
     on its one noise path, and its pair for ``deltas[k]`` is (leg 0, leg
-    ``k + 1``).  Returns ``[replica][delta]``; entry ``[r][k]`` is bitwise
-    ``simulate_pair`` with ``deltas[k]`` and ``streams[r]``.  A blow-up error
-    carries the ``partial_pairs`` of the replica it names.
+    ``k + 1``).  Returns ``[replica][delta]``; entry ``[r][k]`` is bitwise the
+    one-pair call with ``[deltas[k]]`` and ``[streams[r]]``, and a delta of 0
+    reproduces leg 0 bitwise.  A blow-up error carries the ``partial_pairs``
+    of the replica it names, diffs up to the last good snapshot.
     """
     u0 = u0_spec.evaluate(grid)
     pert = perturbation.evaluate(grid) if perturbation is not None and any(deltas) else None
@@ -480,25 +466,3 @@ def simulate_pairs(
         raise
     return [_pairs(deltas, trajs) for trajs in batch]
 
-
-def simulate_pair(
-    grid: GridSpec,
-    kspec: KernelSpec,
-    sspec: SigmaSpec,
-    u0_spec: InitialCondition,
-    perturbation: InitialCondition | None,
-    delta: float,
-    stream: RngStream,
-    snapshot_times,
-) -> SolutionPair:
-    """Integrate two solutions under the same noise; leg b starts from
-    ``u0 + delta * perturbation``.  ``delta = 0`` reproduces leg a bitwise.
-    A blow-up error carries ``partial_pair``, diffs up to the last good step.
-    """
-    try:
-        ((pair,),) = simulate_pairs(grid, kspec, sspec, u0_spec, perturbation, [delta], [stream],
-                                    snapshot_times)
-    except BlowUpError as err:
-        (err.partial_pair,) = err.partial_pairs
-        raise
-    return pair

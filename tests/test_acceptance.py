@@ -41,7 +41,7 @@ from spdelab.oracles import (
     verify_factorization,
     verify_jest,
 )
-from spdelab.solver import InitialCondition, SigmaSpec, simulate, simulate_pair
+from spdelab.solver import InitialCondition, SigmaSpec, simulate_pairs, simulate_replicas
 from spdelab.estimators import structure_function
 from spdelab.ywtools import RhoSpec, a_sequence, build_family
 from scipy.integrate import quad
@@ -80,7 +80,9 @@ def test_criterion_1_noise_covariance():
 
 
 # ---------------------------------------------------------------------------
-def _holder_run(kspec, seed, n=4096, replicas=64):
+def _holder_run(kspec, seed, n=4096, replicas=64, chunk=8):
+    """Space and time exponents over ``replicas`` runs, integrated ``chunk``
+    streams per batch; a chunk of 1 is one ``simulate`` per replica."""
     l = 1.0
     h = l / n
     grid = GridSpec(dim=1, n=n, l=l, dt=h * h / 2, t_end=4000 * h * h, t_min=400 * h * h)
@@ -92,12 +94,13 @@ def _holder_run(kspec, seed, n=4096, replicas=64):
     space_lags = [c * h for c in (8, 16, 32, 64)]
     time_lags = [m * grid.dt for m in (64, 128, 256, 512, 1024)]
     acc_space, acc_time = [], []
-    for r in range(replicas):
-        traj = simulate(grid, kspec, sigma, u0, RngStream(seed, r), times)
-        srows = structure_function(traj, p=2, direction="space", lags=space_lags, order=2)
-        trows = structure_function(traj, p=2, direction="time", lags=time_lags, order=1)
-        acc_space.append([row.moment for row in srows])
-        acc_time.append([row.moment for row in trows])
+    for r0 in range(0, replicas, chunk):
+        streams = [RngStream(seed, r) for r in range(r0, min(r0 + chunk, replicas))]
+        for traj in simulate_replicas(grid, kspec, sigma, u0, streams, times):
+            srows = structure_function(traj, p=2, direction="space", lags=space_lags, order=2)
+            trows = structure_function(traj, p=2, direction="time", lags=time_lags, order=1)
+            acc_space.append([row.moment for row in srows])
+            acc_time.append([row.moment for row in trows])
     sp = fit_offset_exponent(space_lags, np.mean(acc_space, axis=0)) / 2.0
     tm = fit_offset_exponent(time_lags, np.mean(acc_time, axis=0)) / 2.0
     return sp, tm
@@ -255,7 +258,7 @@ def test_criterion_5_regime_classifier():
 
 
 # ---------------------------------------------------------------------------
-def _stability_pairs(deltas, replicas=32, seed=99):
+def _stability_setup():
     n, l = 256, 8.0
     h = l / n
     grid = GridSpec(dim=1, n=n, l=l, dt=h * h / 2, t_end=1.0, t_min=0.1)
@@ -265,11 +268,16 @@ def _stability_pairs(deltas, replicas=32, seed=99):
     pert = InitialCondition(kind="bump", center=l / 2, width=l / 16, height=1.0)
     total = int(round(grid.t_end / grid.dt))
     times = [m * grid.dt for m in range(0, total + 1, max(1, total // 64))]
-    pairs = []
-    for d in deltas:
-        for r in range(replicas):
-            pairs.append(simulate_pair(grid, kspec, sigma, u0, pert, d, RngStream(seed, r), times))
-    return pairs
+    return grid, kspec, sigma, u0, pert, times
+
+
+def _stability_pairs(deltas, replicas=32, seed=99):
+    """Every replica's pair for every delta, delta-major; a replica's deltas
+    are legs of one batch on its one noise path."""
+    grid, kspec, sigma, u0, pert, times = _stability_setup()
+    streams = [RngStream(seed, r) for r in range(replicas)]
+    per_replica = simulate_pairs(grid, kspec, sigma, u0, pert, deltas, streams, times)
+    return [pairs[k] for k in range(len(deltas)) for pairs in per_replica]
 
 
 def test_criterion_6_pathwise_stability_proxy():
@@ -291,6 +299,24 @@ def test_criterion_6_pathwise_stability_proxy():
     )
 
 
+def test_batched_runs_match_per_replica_runs():
+    """Criteria 2 and 6 integrate batches of replicas (and of deltas); at small
+    scale their exponents and peaks are bitwise those of one run per replica
+    (and per delta)."""
+    kspec = KernelSpec(kind="riesz", alpha=0.5, dim=1)
+    chunked = _holder_run(kspec, seed=11, n=256, replicas=3, chunk=2)
+    assert chunked == _holder_run(kspec, seed=11, n=256, replicas=3, chunk=1)
+
+    deltas = (0.0, 1e-1, 1e-2, 1e-3)
+    grid, kspec, sigma, u0, pert, times = _stability_setup()
+    alone = [
+        simulate_pairs(grid, kspec, sigma, u0, pert, [d], [RngStream(99, r)], times)[0][0]
+        for d in deltas
+        for r in range(3)
+    ]
+    assert uniqueness_gap(_stability_pairs(deltas, replicas=3)).peak_l1 == uniqueness_gap(alone).peak_l1
+
+
 # ---------------------------------------------------------------------------
 def test_criterion_7_small_value_regularity():
     """alpha=0.5, gamma=0.5, delta=0.1: conditional spatial exponent exceeds the
@@ -306,10 +332,8 @@ def test_criterion_7_small_value_regularity():
     pert = InitialCondition(kind="bump", center=l / 2, width=l / 8, height=1.0)
     total = int(round(grid.t_end / grid.dt))
     times = [m * grid.dt for m in range(0, total + 1, max(1, total // 64))]
-    pairs = [
-        simulate_pair(grid, kspec, sigma, u0, pert, 0.1, RngStream(7, r), times)
-        for r in range(12)
-    ]
+    streams = [RngStream(7, r) for r in range(12)]
+    pairs = [pair for (pair,) in simulate_pairs(grid, kspec, sigma, u0, pert, [0.1], streams, times)]
     res = conditional_regularity(
         pairs, xi=0.875, eps_values=[4 * h, 8 * h],
         lags=[c * h for c in (1, 2, 4, 8)], order=1, min_anchors=100,

@@ -12,6 +12,7 @@ import pytest
 from spdelab.config import DEFAULT_CONFIG, ExperimentConfig, fingerprint, parse_config_text
 from spdelab.errors import ConfigError
 from spdelab.cli import main
+from spdelab.solver import config_fingerprint
 
 FAST_SIM = [
     "--set", "grid.n=128",
@@ -151,6 +152,19 @@ class TestExitCodes:
              "--out", str(tmp_path / "o")]
         )
         assert proc.returncode == 4
+
+    def test_blow_up_message_names_config_fingerprint(self, tmp_path, capsys):
+        overrides = ["grid.n=64", "grid.t_end=0.01", "kernel.kind=bounded-constant",
+                     "sigma.scale=1e12", "u0.value=1e100", "run.replicas=5", "run.seed=2"]
+        cfg = ExperimentConfig.load(None, overrides, defaults=DEFAULT_CONFIG)
+        expected = config_fingerprint(cfg.grid(), cfg.kernel(), cfg.sigma(), cfg.u0(), cfg.stream(4))
+        argv = ["holder", "--out", str(tmp_path / "o")]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert f"(config fingerprint {expected}): non-finite values at step 21 " in err
+        assert err.rstrip().endswith("in replica 4")
 
     @pytest.mark.parametrize("seed", ["5", "11"])
     def test_default_noise_check_passes_gated(self, tmp_path, seed):
@@ -298,6 +312,14 @@ def sha256_of(out, *names):
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
+def sha256_of_simulate(out):
+    """One SHA-256 over ``trajectory.csv`` and every ``snapshot_*.bin``, name then bytes."""
+    digest = hashlib.sha256()
+    for path in [out / "trajectory.csv", *sorted(out.glob("snapshot_*.bin"))]:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 class TestGoldenBytes:
     """SHA-256 of small CLI artifacts.  The uniqueness values were recorded
     before replicas and perturbation sizes were batched onto one noise path
@@ -354,4 +376,35 @@ class TestGoldenBytes:
         assert code == 0
         assert sha256_of(out, "smallvalue.csv") == {
             "smallvalue.csv": "d5a69fb1c0119cb5620a0d54c4578a6f225978e486b5a6c5657d3118624df743",
+        }
+
+    @pytest.mark.parametrize("args, expected", [
+        (["--set", "grid.n=64", "--set", "grid.dt=0.0001220703125", "--set", "grid.t_end=0.03125",
+          "--set", "sigma.kind=holder-power", "--set", "sigma.gamma=0.7"],
+         "258873fd3523a2b23c50fe3a52c7ed8a57487e7fe0636c3ee4e04216643edab0"),
+        (["--set", "grid.dim=2", "--set", "grid.n=32", "--set", "kernel.alpha=1.0",
+          "--set", "grid.t_end=0.0078125"],
+         "a26b256da66f7bb4db02506e74b27d384138fadb7f3cb19f96510dfee8c38981"),
+    ], ids=["1d", "2d"])
+    def test_simulate_artifacts_unchanged(self, tmp_path, args, expected):
+        """Recorded before the noise fields were inverted with ``norm="forward"``."""
+        out = tmp_path / "o"
+        assert main(["simulate", *args, "--seed", "5", "--out", str(out)]) == 0
+        assert len(list(out.glob("snapshot_*.bin"))) == 9
+        assert sha256_of_simulate(out) == expected
+
+    def test_noise_check_artifacts_unchanged(self, tmp_path):
+        """Recorded before the noise fields were inverted with ``norm="forward"``."""
+        digests = {}
+        for dim, args in ((1, ["--set", "grid.n=256"]),
+                          (2, ["--set", "grid.dim=2", "--set", "grid.n=32", "--set", "kernel.alpha=1.0",
+                               "--set", "noise.lags=2,4"])):
+            out = tmp_path / str(dim)
+            code = main(["noise-check", *args, "--set", "noise.steps=16", "--replicas", "4",
+                         "--seed", "5", "--out", str(out)])
+            assert code == 0
+            digests[dim] = sha256_of(out, "noise_covariance.csv")["noise_covariance.csv"]
+        assert digests == {
+            1: "659c34d82a19e7efb08ac00cb5047c86ae6bc538ef8149793fff9e8d7515ea30",
+            2: "291a7749cdb5db916135e2e1ed3a9d8660711f6912347523e9f8162f5570f37d",
         }

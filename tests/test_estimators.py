@@ -22,7 +22,7 @@ from spdelab.solver import (
     SigmaSpec,
     Trajectory,
     simulate,
-    simulate_pair,
+    simulate_pairs,
 )
 
 
@@ -266,10 +266,8 @@ def _noisy_pair(delta=0.1, seed=7, n=256, gamma=0.5, scale=1.0, replicas=1, tend
     pert = InitialCondition(kind="bump", center=l / 2, width=l / 8, height=1.0)
     total = int(round(grid.t_end / grid.dt))
     times = [m * grid.dt for m in range(0, total + 1, max(1, total // 32))]
-    pairs = [
-        simulate_pair(grid, k, sig, u0, pert, delta, RngStream(seed, r), times)
-        for r in range(replicas)
-    ]
+    streams = [RngStream(seed, r) for r in range(replicas)]
+    pairs = [pair for (pair,) in simulate_pairs(grid, k, sig, u0, pert, [delta], streams, times)]
     return grid, pairs
 
 
@@ -296,7 +294,7 @@ class TestConditionalRegularity:
         pert = InitialCondition(kind="bump", center=l / 2, width=l / 16, height=1.0)
         total = int(round(grid.t_end / grid.dt))
         times = [m * grid.dt for m in range(0, total + 1, max(1, total // 16))]
-        pair = simulate_pair(grid, k, sigma_zero(), u0, pert, 0.5, RngStream(3), times)
+        ((pair,),) = simulate_pairs(grid, k, sigma_zero(), u0, pert, [0.5], [RngStream(3)], times)
         res = conditional_regularity(
             pair, xi=0.875, eps_values=[8 * h], lags=[c * h for c in (1, 2, 4, 8)]
         )
@@ -347,7 +345,7 @@ class TestUniquenessGap:
         u0 = InitialCondition(kind="constant", value=0.0)
         pert = InitialCondition(kind="sine", k=1, amplitude=1.0)
         times = [m * grid.dt for m in (16, 32, 48, 64)]
-        pair = simulate_pair(grid, k, sigma_zero(), u0, pert, 0.3, RngStream(2), times)
+        ((pair,),) = simulate_pairs(grid, k, sigma_zero(), u0, pert, [0.3], [RngStream(2)], times)
         rep = uniqueness_gap([pair])
         l1 = rep.median_l1[0.3]
         decay = np.exp(-2 * np.pi**2 * 16 * grid.dt / l**2)

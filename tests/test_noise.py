@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
-from spdelab.errors import DomainError, InputError, SingularKernelError, SpectralError
+from spdelab.errors import (
+    DomainError,
+    InputError,
+    InsufficientDataError,
+    SingularKernelError,
+    SpectralError,
+)
 from spdelab.kernels import KernelSpec
 from spdelab.noise import (
     GridSpec,
+    NoiseField,
     RngStream,
     covariance_check,
-    empirical_covariance,
     read_field,
-    sample_increment,
     spectral_amplitudes,
     synthesize,
     write_field,
@@ -22,6 +27,15 @@ from spdelab.noise import _fields
 def grid1d(n=512, l=1.0, **kw):
     kw.setdefault("t_end", 1.0)
     return GridSpec(dim=1, n=n, l=l, **kw)
+
+
+def draw(g, k, dt, stream):
+    """One increment with covariance ``dt * k``: the draw the solver makes at ``stream``."""
+    return synthesize(g, spectral_amplitudes(g, k) * np.sqrt(dt), stream.generator())
+
+
+def noise_field(g, k, dt, stream):
+    return NoiseField(grid=g, values=draw(g, k, dt, stream), kernel=k, stream=stream, dt=dt)
 
 
 class TestGridSpec:
@@ -47,24 +61,24 @@ class TestRngStream:
     def test_same_triple_bit_identical(self):
         g = grid1d()
         k = KernelSpec(kind="riesz", alpha=0.5)
-        a = sample_increment(g, k, g.dt, RngStream(7, 3, 11))
-        b = sample_increment(g, k, g.dt, RngStream(7, 3, 11))
-        assert np.array_equal(a.values, b.values)
+        a = draw(g, k, g.dt, RngStream(7, 3, 11))
+        b = draw(g, k, g.dt, RngStream(7, 3, 11))
+        assert np.array_equal(a, b)
 
     def test_distinct_triples_differ(self):
         g = grid1d()
         k = KernelSpec(kind="riesz", alpha=0.5)
-        a = sample_increment(g, k, g.dt, RngStream(7, 3, 11))
-        b = sample_increment(g, k, g.dt, RngStream(7, 3, 12))
-        c = sample_increment(g, k, g.dt, RngStream(7, 4, 11))
-        assert not np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        a = draw(g, k, g.dt, RngStream(7, 3, 11))
+        b = draw(g, k, g.dt, RngStream(7, 3, 12))
+        c = draw(g, k, g.dt, RngStream(7, 4, 11))
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_replica_independence(self):
         g = grid1d(n=4096)
         k = KernelSpec(kind="white")
-        a = sample_increment(g, k, g.dt, RngStream(1, 0, 0)).values
-        b = sample_increment(g, k, g.dt, RngStream(1, 1, 0)).values
+        a = draw(g, k, g.dt, RngStream(1, 0, 0))
+        b = draw(g, k, g.dt, RngStream(1, 1, 0))
         prod = a * b
         z = np.mean(prod) / (np.std(prod, ddof=1) / np.sqrt(prod.size))
         assert abs(z) <= 3.5
@@ -124,11 +138,11 @@ class TestSampleIncrement:
         g = grid1d(n=1024)
         k = KernelSpec(kind="riesz", alpha=0.5)
         r1 = [
-            np.mean(sample_increment(g, k, 1e-4, RngStream(3, r)).values ** 2)
+            np.mean(draw(g, k, 1e-4, RngStream(3, r)) ** 2)
             for r in range(100)
         ]
         r2 = [
-            np.mean(sample_increment(g, k, 2e-4, RngStream(4, r)).values ** 2)
+            np.mean(draw(g, k, 2e-4, RngStream(4, r)) ** 2)
             for r in range(100)
         ]
         assert np.mean(r2) / np.mean(r1) == pytest.approx(2.0, rel=0.05)
@@ -137,15 +151,15 @@ class TestSampleIncrement:
         for dim in (1, 2):
             g = GridSpec(dim=dim, n=64, l=1.0, t_end=1.0)
             k = KernelSpec(kind="riesz", alpha=0.5 if dim == 1 else 1.0, dim=dim)
-            f = sample_increment(g, k, g.dt, RngStream(5))
-            assert f.values.dtype == np.float64
-            assert np.all(np.isfinite(f.values))
-            assert f.values.shape == g.shape
+            f = draw(g, k, g.dt, RngStream(5))
+            assert f.dtype == np.float64
+            assert np.all(np.isfinite(f))
+            assert f.shape == g.shape
 
     def test_mean_zero(self):
         g = grid1d(n=256)
         k = KernelSpec(kind="riesz", alpha=0.5)
-        means = [np.mean(sample_increment(g, k, 1.0, RngStream(6, r)).values) for r in range(200)]
+        means = [np.mean(draw(g, k, 1.0, RngStream(6, r))) for r in range(200)]
         z = np.mean(means) / (np.std(means, ddof=1) / np.sqrt(len(means)))
         assert abs(z) <= 3.5
 
@@ -191,40 +205,38 @@ class TestSampleIncrement:
 
 
 class TestEmpiricalCovariance:
+    """Monte Carlo covariance estimates through ``covariance_check``."""
+
     def test_white_off_lag_zero(self):
         g = grid1d(n=2048)
         k = KernelSpec(kind="white")
-        fields = [sample_increment(g, k, g.dt, RngStream(8, r)) for r in range(50)]
-        row = empirical_covariance(fields, [3 * g.h])[0]
+        row = covariance_check(g, k, g.dt, [3 * g.h], replicas=50, master_seed=8)[0]
         assert row.theory == 0.0
         assert abs(row.estimate) <= 3.0 * row.stderr
 
     def test_riesz_lag_zero_rejected(self):
         g = grid1d(n=128)
         k = KernelSpec(kind="riesz", alpha=0.5)
-        fields = [sample_increment(g, k, g.dt, RngStream(9, r)) for r in range(2)]
         with pytest.raises(SingularKernelError):
-            empirical_covariance(fields, [0.0])
+            covariance_check(g, k, g.dt, [0.0], replicas=2, master_seed=9)
 
     def test_requires_two_fields(self):
         g = grid1d(n=128)
         k = KernelSpec(kind="riesz", alpha=0.5)
-        with pytest.raises(InputError):
-            empirical_covariance([sample_increment(g, k, g.dt, RngStream(1))], [4 * g.h])
+        with pytest.raises(InsufficientDataError):
+            covariance_check(g, k, g.dt, [4 * g.h], replicas=1, master_seed=1)
 
     def test_mismatched_grids_rejected(self):
         k = KernelSpec(kind="riesz", alpha=0.5)
-        f1 = sample_increment(grid1d(n=128), k, 0.001, RngStream(1))
-        f2 = sample_increment(grid1d(n=256), k, 0.001, RngStream(1))
+        std = spectral_amplitudes(grid1d(n=128), k) * np.sqrt(0.001)
         with pytest.raises(InputError):
-            empirical_covariance([f1, f2], [0.1])
+            synthesize(grid1d(n=256), std, RngStream(1).generator())
 
     def test_unresolvable_lag_rejected(self):
         g = grid1d(n=128)
         k = KernelSpec(kind="riesz", alpha=0.5)
-        fields = [sample_increment(g, k, g.dt, RngStream(1, r)) for r in range(2)]
         with pytest.raises(InputError):
-            empirical_covariance(fields, [g.h * 0.37])
+            covariance_check(g, k, g.dt, [g.h * 0.37], replicas=2, master_seed=1)
 
     def test_riesz_covariance_smoke(self):
         # small-scale version of the acceptance contract
@@ -241,7 +253,7 @@ class TestEmpiricalCovariance:
         gi = 8
         evens, odds = [], []
         for r in range(60):
-            v = sample_increment(g, k, 1.0, RngStream(10, r)).values
+            v = draw(g, k, 1.0, RngStream(10, r))
             prod = v * np.roll(v, gi)
             evens.append(np.mean(prod[0::2]))
             odds.append(np.mean(prod[1::2]))
@@ -290,14 +302,14 @@ class TestPowerSpectrumEstimator:
         np.testing.assert_allclose([r.stderr for r in rows], se, rtol=1e-12)
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_empirical_covariance_equals_roll(self, case):
+    def test_one_step_covariance_equals_roll(self, case):
         dim, n, k, cells = self.CASES[case]
         g = GridSpec(dim=dim, n=n, l=1.0, t_end=1.0)
-        fields = [sample_increment(g, k, g.dt, RngStream(42, r)) for r in range(6)]
+        fields = [draw(g, k, g.dt, RngStream(42, r)) for r in range(6)]
         est, se = self.roll_estimate(
-            [[np.mean(f.values * np.roll(f.values, c, axis=0)) for c in cells] for f in fields]
+            [[np.mean(x * np.roll(x, c, axis=0)) for c in cells] for x in fields]
         )
-        rows = empirical_covariance(fields, [c * g.h for c in cells])
+        rows = covariance_check(g, k, g.dt, [c * g.h for c in cells], replicas=6, master_seed=42)
         np.testing.assert_allclose([r.estimate for r in rows], est, rtol=1e-12)
         np.testing.assert_allclose([r.stderr for r in rows], se, rtol=1e-12)
 
@@ -330,7 +342,7 @@ class TestFieldDump:
     def test_round_trip_bits(self, tmp_path):
         g = grid1d(n=128, l=2.5)
         k = KernelSpec(kind="riesz-plus-constant", alpha=0.7)
-        f = sample_increment(g, k, 0.003, RngStream(12, 5, 9))
+        f = noise_field(g, k, 0.003, RngStream(12, 5, 9))
         path = tmp_path / "field.bin"
         write_field(f, path)
         back = read_field(path)
@@ -345,7 +357,7 @@ class TestFieldDump:
     def test_header_is_little_endian_with_magic(self, tmp_path):
         g = grid1d(n=64)
         k = KernelSpec(kind="white")
-        f = sample_increment(g, k, 0.001, RngStream(1))
+        f = noise_field(g, k, 0.001, RngStream(1))
         path = tmp_path / "field.bin"
         write_field(f, path)
         raw = path.read_bytes()
@@ -367,7 +379,7 @@ class TestFieldDump:
     def test_2d_round_trip(self, tmp_path):
         g = GridSpec(dim=2, n=32, l=1.0, t_end=1.0)
         k = KernelSpec(kind="riesz", alpha=1.0, dim=2)
-        f = sample_increment(g, k, 0.01, RngStream(3))
+        f = noise_field(g, k, 0.01, RngStream(3))
         path = tmp_path / "f2.bin"
         write_field(f, path)
         back = read_field(path)
@@ -382,7 +394,7 @@ class TestCovariance2D:
         k = KernelSpec(kind="riesz", alpha=1.0, dim=2)
         acc = []
         for r in range(150):
-            v = sample_increment(g, k, 1.0, RngStream(21, r)).values
+            v = draw(g, k, 1.0, RngStream(21, r))
             acc.append(np.mean(v * np.roll(v, 6, axis=0)))
         est = float(np.mean(acc))
         theory = (6 * g.h) ** -1.0

@@ -9,8 +9,8 @@ from spdelab.noise import (
     GridSpec,
     NoiseField,
     RngStream,
-    sample_increment,
     spectral_amplitudes,
+    synthesize,
     write_field,
 )
 from spdelab.solver import (
@@ -18,13 +18,12 @@ from spdelab.solver import (
     InitialCondition,
     SigmaSpec,
     _integrate,
+    config_fingerprint,
     initial_field,
     sigma_eval,
     simulate,
-    simulate_pair,
     simulate_pairs,
     simulate_replicas,
-    step,
 )
 
 
@@ -40,6 +39,11 @@ def sigma_const(c=1.0):
 def grid1d(n=256, l=1.0, **kw):
     kw.setdefault("t_end", 64 * (l / n) ** 2)
     return GridSpec(dim=1, n=n, l=l, **kw)
+
+
+def file_ic(g, k, values, path):
+    write_field(NoiseField(grid=g, values=values, kernel=k, stream=RngStream(0), dt=g.dt), path)
+    return InitialCondition(kind="file", path=str(path))
 
 
 class TestSigmaEval:
@@ -104,19 +108,17 @@ class TestInitialField:
     def test_file_round_trip(self, tmp_path):
         g = grid1d(n=128)
         k = KernelSpec(kind="riesz", alpha=0.5)
-        noise = sample_increment(g, k, 0.01, RngStream(3))
-        path = tmp_path / "u0.bin"
-        write_field(noise, path)
-        f = initial_field(g, InitialCondition(kind="file", path=str(path)))
-        assert np.array_equal(f.values, noise.values)
+        values = synthesize(g, spectral_amplitudes(g, k) * np.sqrt(0.01), RngStream(3).generator())
+        f = initial_field(g, file_ic(g, k, values, tmp_path / "u0.bin"))
+        assert np.array_equal(f.values, values)
 
     def test_file_wrong_grid(self, tmp_path):
         g = grid1d(n=128)
-        noise = sample_increment(g, KernelSpec(kind="white"), 0.01, RngStream(3))
-        path = tmp_path / "u0.bin"
-        write_field(noise, path)
+        k = KernelSpec(kind="white")
+        values = synthesize(g, spectral_amplitudes(g, k) * np.sqrt(0.01), RngStream(3).generator())
+        u0 = file_ic(g, k, values, tmp_path / "u0.bin")
         with pytest.raises(InputError):
-            initial_field(grid1d(n=256), InitialCondition(kind="file", path=str(path)))
+            initial_field(grid1d(n=256), u0)
 
     def test_bump_periodic(self):
         g = grid1d(n=256, l=2.0)
@@ -127,30 +129,31 @@ class TestInitialField:
 
 
 class TestStep:
+    """One exponential-Euler step: ``simulate`` with a single step to ``dt``."""
+
     def test_eigenfunction_decay_exact(self):
         g = grid1d(n=256, l=1.0)
-        u = initial_field(g, InitialCondition(kind="sine", k=1, amplitude=1.0))
-        dw = sample_increment(g, KernelSpec(kind="bounded-constant"), g.dt, RngStream(1))
-        dw.values[:] = 0.0
-        out = step(u, dw, sigma_zero())
+        u0 = InitialCondition(kind="sine", k=1, amplitude=1.0)
+        traj = simulate(g, KernelSpec(kind="bounded-constant"), sigma_zero(), u0, RngStream(1), [g.dt])
         decay = np.exp(-2 * np.pi**2 * g.dt / g.l**2)
         expect = decay * np.sin(2 * np.pi * g.axis_coords() / g.l)
-        assert np.max(np.abs(out.values - expect)) <= 1e-12
+        assert np.max(np.abs(traj.fields[0].values - expect)) <= 1e-12
 
     def test_sigma_zero_ignores_noise(self):
+        # two different noise draws, and exact heat flow with no noise at all
         g = grid1d(n=128)
-        u = initial_field(g, InitialCondition(kind="sine", k=3, amplitude=0.7))
+        u0 = InitialCondition(kind="sine", k=3, amplitude=0.7)
         k = KernelSpec(kind="riesz", alpha=0.5)
-        dw = sample_increment(g, k, g.dt, RngStream(5))
-        zero = sample_increment(g, k, g.dt, RngStream(6))
-        zero.values[:] = 0.0
-        assert np.array_equal(step(u, dw, sigma_zero()).values, step(u, zero, sigma_zero()).values)
+        a, b = (simulate(g, k, sigma_zero(), u0, RngStream(s), [g.dt]).fields[0].values for s in (5, 6))
+        heat = np.fft.rfft(u0.evaluate(g)) * semigroup_multiplier(np.fft.rfftfreq(g.n, d=g.h), g.dt)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, np.fft.irfft(heat, g.n))
 
-    def test_grid_mismatch(self):
-        u = initial_field(grid1d(n=128), InitialCondition(kind="constant", value=1.0))
-        dw = sample_increment(grid1d(n=256), KernelSpec(kind="white"), 0.001, RngStream(1))
+    def test_grid_mismatch(self, tmp_path):
+        k = KernelSpec(kind="white")
+        u0 = file_ic(grid1d(n=128), k, np.ones(128), tmp_path / "u0.bin")
         with pytest.raises(InputError):
-            step(u, dw, sigma_zero())
+            simulate(grid1d(n=256), k, sigma_zero(), u0, RngStream(1), [0.0])
 
     def test_additive_variance_matches_spectral_sum(self):
         # sigma = 1, u0 = 0: after m steps the per-point variance equals the
@@ -253,16 +256,30 @@ class TestSimulate:
         with pytest.raises(BlowUpError) as single:
             simulate(g, k, sig, u0, RngStream(2), times)
         with pytest.raises(BlowUpError) as exc:
-            simulate_pair(g, k, sig, u0, pert, 0.1, RngStream(2), times)
+            simulate_pairs(g, k, sig, u0, pert, [0.1], [RngStream(2)], times)
         err = exc.value
         assert str(err) == str(single.value)
         assert err.step_index == single.value.step_index
-        pair = err.partial_pair
+        (pair,) = err.partial_pairs
         assert not pair.traj_a.complete and not pair.traj_b.complete
         assert pair.times == (0.0,)
         assert [d.t for d in pair.diffs] == [0.0]
         a, b = pair.traj_a.fields[0].values, pair.traj_b.fields[0].values
         assert np.array_equal(pair.diffs[0].values, a - b)
+
+    def test_blow_up_carries_config_fingerprint(self):
+        g = grid1d(n=64, l=1.0, t_end=0.01)
+        k = KernelSpec(kind="bounded-constant", amplitude=1.0)
+        sig = SigmaSpec(kind="lipschitz-linear", scale=1e12)
+        u0 = InitialCondition(kind="constant", value=1e100)
+        streams = [RngStream(2, r) for r in range(5)]
+        with pytest.raises(BlowUpError) as exc:
+            simulate_replicas(g, k, sig, u0, streams, [m * g.dt for m in range(0, 81, 8)])
+        err = exc.value
+        assert err.replica_id == 4
+        assert err.fingerprint == config_fingerprint(g, k, sig, u0, streams[4])
+        assert err.fingerprint == err.partial_trajectory.fingerprint
+        assert err.fingerprint != config_fingerprint(g, k, sig, u0, streams[0])
 
     def test_clip_counting_for_viot(self):
         g = grid1d(n=128, l=1.0, t_end=128 * (1.0 / 128) ** 2)
@@ -292,7 +309,7 @@ class TestSimulatePair:
         sig = SigmaSpec(kind="holder-power", gamma=0.8)
         u0 = InitialCondition(kind="constant", value=1.0)
         pert = InitialCondition(kind="bump", center=0.5, width=0.1, height=1.0)
-        pair = simulate_pair(g, k, sig, u0, pert, 0.0, RngStream(4), [0.0, 16 * g.dt, 32 * g.dt])
+        ((pair,),) = simulate_pairs(g, k, sig, u0, pert, [0.0], [RngStream(4)], [0.0, 16 * g.dt, 32 * g.dt])
         for d in pair.diffs:
             assert np.all(d.values == 0.0)
 
@@ -303,7 +320,7 @@ class TestSimulatePair:
         pert = InitialCondition(kind="bump", center=0.5, width=0.05, height=1.0)
         delta = 0.1
         m = 32
-        pair = simulate_pair(g, k, sigma_zero(), u0, pert, delta, RngStream(4), [m * g.dt])
+        ((pair,),) = simulate_pairs(g, k, sigma_zero(), u0, pert, [delta], [RngStream(4)], [m * g.dt])
         xi = np.fft.rfftfreq(g.n, d=g.h)
         mult = semigroup_multiplier(xi, m * g.dt)
         expect = np.fft.irfft(np.fft.rfft(-delta * pert.evaluate(g)) * mult, g.n)
@@ -316,7 +333,7 @@ class TestSimulatePair:
         u0 = InitialCondition(kind="constant", value=0.0)
         pert = InitialCondition(kind="sine", k=1, amplitude=1.0)
         m = 16
-        pair = simulate_pair(g, k, sigma_const(2.0), u0, pert, 0.5, RngStream(8), [m * g.dt])
+        ((pair,),) = simulate_pairs(g, k, sigma_const(2.0), u0, pert, [0.5], [RngStream(8)], [m * g.dt])
         decay = np.exp(-2 * np.pi**2 * m * g.dt / g.l**2)
         expect = -0.5 * decay * np.sin(2 * np.pi * g.axis_coords() / g.l)
         assert np.max(np.abs(pair.diffs[0].values - expect)) <= 1e-11
@@ -336,12 +353,9 @@ class TestSimulatePair:
         pert = InitialCondition(kind="bump", center=0.5, width=0.1, height=1.0)
         delta = 0.37
         times = [0.0, 8 * g.dt, 16 * g.dt]
-        pair = simulate_pair(g, k, sig, u0, pert, delta, RngStream(21, 3), times)
+        ((pair,),) = simulate_pairs(g, k, sig, u0, pert, [delta], [RngStream(21, 3)], times)
 
-        start_b = u0.evaluate(g) + delta * pert.evaluate(g)
-        path = tmp_path / "u0b.bin"
-        write_field(NoiseField(grid=g, values=start_b, kernel=k, stream=RngStream(0), dt=g.dt), path)
-        u0_b = InitialCondition(kind="file", path=str(path))
+        u0_b = file_ic(g, k, u0.evaluate(g) + delta * pert.evaluate(g), tmp_path / "u0b.bin")
         traj_a = simulate(g, k, sig, u0, RngStream(21, 3), times)
         traj_b = simulate(g, k, sig, u0_b, RngStream(21, 3), times)
 
@@ -357,11 +371,6 @@ def grid_for(dim):
     if dim == 1:
         return grid1d(n=128), KernelSpec(kind="riesz", alpha=0.5)
     return GridSpec(dim=2, n=32, l=1.0, t_end=16 * (1.0 / 32) ** 2), KernelSpec(kind="riesz", alpha=1.0, dim=2)
-
-
-def file_ic(g, k, values, path):
-    write_field(NoiseField(grid=g, values=values, kernel=k, stream=RngStream(0), dt=g.dt), path)
-    return InitialCondition(kind="file", path=str(path))
 
 
 def assert_same_run(batched, alone):
@@ -407,7 +416,7 @@ class TestBatch:
             assert_same_run(traj, simulate(g, k, sig, u0, stream, times))
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_deltas_as_legs_match_simulate_pair(self, dim):
+    def test_deltas_as_legs_match_one_delta_runs(self, dim):
         g, k = grid_for(dim)
         sig = SigmaSpec(kind="holder-power", gamma=0.8)
         u0 = InitialCondition(kind="constant", value=1.0)
@@ -418,7 +427,7 @@ class TestBatch:
         batch = simulate_pairs(g, k, sig, u0, pert, deltas, streams, times)
         for stream, pairs in zip(streams, batch, strict=True):
             for delta, pair in zip(deltas, pairs, strict=True):
-                alone = simulate_pair(g, k, sig, u0, pert, delta, stream, times)
+                ((alone,),) = simulate_pairs(g, k, sig, u0, pert, [delta], [stream], times)
                 assert pair.delta == delta
                 assert_same_run(pair.traj_a, alone.traj_a)
                 assert_same_run(pair.traj_b, alone.traj_b)
