@@ -32,12 +32,10 @@ from .noise import (
     write_field,
 )
 from .solver import (
-    Field,
     InitialCondition,
     SigmaSpec,
     SolutionPair,
     Trajectory,
-    initial_field,
     sigma_eval,
     simulate,
     simulate_pairs,

@@ -179,18 +179,10 @@ def _cmd_simulate(cfg: ExperimentConfig, gated: bool) -> int:
                     clip=cfg.get_bool("sim.clip", False))
     out = _outdir(cfg)
     summary = []
-    for i, f in enumerate(traj.fields):
-        dump = NoiseField(
-            grid=grid,
-            values=f.values,
-            kernel=kspec,
-            stream=cfg.stream(0).at_step(int(round(f.t / grid.dt))),
-            dt=f.t,
-        )
+    for i, (step, t, values) in enumerate(zip(traj.steps, traj.times, traj.values)):
+        dump = NoiseField(grid=grid, values=values, kernel=kspec, stream=cfg.stream(0).at_step(step), dt=t)
         write_field(dump, out / f"snapshot_{i:04d}.bin")
-        summary.append(
-            [f.t, float(np.mean(f.values)), float(np.min(f.values)), float(np.max(f.values))]
-        )
+        summary.append([t, float(np.mean(values)), float(np.min(values)), float(np.max(values))])
     _write_csv(out / "trajectory.csv", ["t", "mean", "min", "max"], summary, cfg)
     _write_manifest(
         out,
@@ -199,10 +191,10 @@ def _cmd_simulate(cfg: ExperimentConfig, gated: bool) -> int:
             "trajectory_fingerprint": traj.fingerprint,
             "clip_count": traj.clip_count,
             "clip_max": traj.clip_max,
-            "snapshots": len(traj.fields),
+            "snapshots": len(traj.values),
         },
     )
-    print(f"simulate: {len(traj.fields)} snapshots, clip_count={traj.clip_count}")
+    print(f"simulate: {len(traj.values)} snapshots, clip_count={traj.clip_count}")
     return 0
 
 
@@ -318,7 +310,7 @@ def _cmd_small_value(cfg: ExperimentConfig, gated: bool) -> int:
         eps_values=[g * grid.h for g in eps_cells],
         p=cfg.get_float("holder.p", 2.0),
         lags=[g * grid.h for g in lag_cells],
-        order=cfg.get_int("holder.order", 1),
+        order=cfg.get_int("holder.order", 2),
     )
     out = _outdir(cfg)
     rows = []

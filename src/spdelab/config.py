@@ -127,11 +127,7 @@ class ExperimentConfig:
             values[key] = value.strip()
         return cls(values=values)
 
-    # -- raw/typed accessors -------------------------------------------------
-    def raw(self, key: str, default: str | None = None) -> str | None:
-        val = self.values.get(key, default)
-        return val
-
+    # -- typed accessors -----------------------------------------------------
     def _parse(self, key, caster, default):
         val = self.values.get(key)
         if val is None or val == "" or val.lower() == "auto":
@@ -210,17 +206,17 @@ class ExperimentConfig:
             **kw,
         )
 
-    def u0(self, prefix: str = "u0") -> InitialCondition:
+    def u0(self) -> InitialCondition:
         return InitialCondition(
-            kind=self.get_str(f"{prefix}.kind", "constant"),
-            value=self.get_float(f"{prefix}.value", 0.0),
-            k=self.get_int(f"{prefix}.k", 1),
-            amplitude=self.get_float(f"{prefix}.amplitude", 1.0),
-            offset=self.get_float(f"{prefix}.offset", 0.0),
-            center=self.get_float(f"{prefix}.center", 0.0),
-            width=self.get_float(f"{prefix}.width", 0.1),
-            height=self.get_float(f"{prefix}.height", 1.0),
-            path=self.get_str(f"{prefix}.path", ""),
+            kind=self.get_str("u0.kind", "constant"),
+            value=self.get_float("u0.value", 1.0),
+            k=self.get_int("u0.k", 1),
+            amplitude=self.get_float("u0.amplitude", 1.0),
+            offset=self.get_float("u0.offset", 0.0),
+            center=self.get_float("u0.center", 0.0),
+            width=self.get_float("u0.width", 0.1),
+            height=self.get_float("u0.height", 1.0),
+            path=self.get_str("u0.path", ""),
         )
 
     def stream(self, replica_id: int = 0) -> RngStream:

@@ -13,11 +13,11 @@ flatten the measured slope.  First differences remain the default and the
 contractual meaning of :func:`structure_function`.
 
 Every estimator here shares one structure-function path: one increment
-helper, one spatial-lag check and one window filter.  Time lags and the
-snapshot times in the window must lie on the grid's ``dt`` lattice; snapshots
-are matched by integer step, each to the one exactly the lag's number of
-steps later.  A :class:`HolderReport` keeps the MomentRows it fitted in
-``rows``.
+helper, one spatial-lag check and one window, selected from a trajectory's
+``times`` as a slice of its ``values`` rows (a view, never a copy).  Time
+lags must lie on the grid's ``dt`` lattice; snapshots are matched by their
+recorded ``steps``, each to the one exactly the lag's number of steps later.
+A :class:`HolderReport` keeps the MomentRows it fitted in ``rows``.
 
 Small-value conditioning restricts the anchors of the structure function to
 space-time points where the difference field of a coupled pair is below
@@ -28,13 +28,14 @@ small values.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import minimum_filter1d
 
 from .errors import DomainError, InputError, InsufficientDataError
-from .solver import SolutionPair, Trajectory, _snapshot_steps
+from .solver import SolutionPair, Trajectory, _step_of
 
 _WINDOW_TOL = 1e-9
 
@@ -88,10 +89,12 @@ def _window_of(grid, window):
     return (float(t0), float(t1))
 
 
-def _in_window(fields, window) -> list:
+def _window_slice(times, window) -> slice:
+    """The snapshot rows whose times lie in ``window``: a slice, so that the
+    rows it selects are a view, not a copy (``times`` are increasing)."""
     t0, t1 = window
     tol = _WINDOW_TOL * max(1.0, abs(t1))
-    return [f for f in fields if t0 - tol <= f.t <= t1 + tol]
+    return slice(bisect_left(times, t0 - tol), bisect_right(times, t1 + tol))
 
 
 def _lag_cells(grid, lag) -> int:
@@ -106,10 +109,7 @@ def _lag_cells(grid, lag) -> int:
 
 def _lag_steps(grid, lag) -> int:
     """A time lag as a whole, positive number of steps of the ``dt`` lattice."""
-    try:
-        (m,) = _snapshot_steps(grid.dt, [lag])
-    except DomainError:
-        m = 0
+    m = _step_of(grid.dt, lag)
     if m < 1:
         raise DomainError(f"time lag {lag} is not a positive multiple of dt={grid.dt}")
     return m
@@ -144,9 +144,9 @@ def structure_function(
     """Moment table of field increments over all anchors in the window.
 
     Spatial lags are physical separations (multiples of the grid spacing).
-    Temporal lags and the snapshot times in the window must lie on the
-    ``dt`` lattice; each snapshot is paired with the one exactly the lag's
-    number of steps later, if it was recorded.  The standard error at each lag
+    Temporal lags must lie on the ``dt`` lattice; each snapshot is paired,
+    by its recorded step, with the one exactly the lag's number of steps
+    later, if it was recorded.  The standard error at each lag
     is the spread of the per-trajectory means.  ``wrap=False`` drops the
     anchors whose increment crosses the periodic seam (for non-periodic
     deterministic profiles).
@@ -162,9 +162,10 @@ def structure_function(
         raise DomainError("order-2 increments are supported in space only")
     if lags is None:
         raise DomainError("lags must be given")
-    snaps = [_in_window(traj.fields, window) for traj in trajs]
+    windows = [_window_slice(traj.times, window) for traj in trajs]
+    snaps = [traj.values[w] for traj, w in zip(trajs, windows)]
     if direction == "time":
-        by_step = [dict(zip(_snapshot_steps(grid.dt, [f.t for f in fs]), fs)) for fs in snaps]
+        by_step = [dict(zip(traj.steps[w], arr)) for traj, w, arr in zip(trajs, windows, snaps)]
 
     rows = []
     for lag in lags:
@@ -172,18 +173,18 @@ def structure_function(
         n_anchors = 0
         if direction == "space":
             cells = _lag_cells(grid, lag)
-            for fs in snaps:
-                if fs:
-                    moments = [np.mean(_increment_power(f.values, p, order, cells, wrap=wrap)) for f in fs]
+            for arr in snaps:
+                if len(arr):
+                    moments = [np.mean(_increment_power(row, p, order, cells, wrap=wrap)) for row in arr]
                     per_traj.append(np.mean(moments))
-                    n_anchors += len(fs) * grid.n_cells
+                    n_anchors += len(arr) * grid.n_cells
         else:
             m = _lag_steps(grid, lag)
-            for fs in by_step:
+            for at_step in by_step:
                 vals = [
-                    np.mean(_increment_power(f.values, p, later=fs[k + m].values))
-                    for k, f in fs.items()
-                    if k + m in fs
+                    np.mean(_increment_power(row, p, later=at_step[k + m]))
+                    for k, row in at_step.items()
+                    if k + m in at_step
                 ]
                 if vals:
                     per_traj.append(np.mean(vals))
@@ -287,10 +288,10 @@ def weighted_sup_moment(trajs, p: float, lam: float, window=None) -> WeightedSup
         weight = np.exp(-lam * dist)
     stats = []
     for traj in trajs:
-        snaps = _in_window(traj.fields, window)
-        if not snaps:
+        snaps = traj.values[_window_slice(traj.times, window)]
+        if not len(snaps):
             raise InputError("no snapshots in window")
-        stats.append(max(float(np.max(np.abs(f.values) ** p * weight)) for f in snaps))
+        stats.append(max(float(np.max(np.abs(row) ** p * weight)) for row in snaps))
     stats = np.asarray(stats)
     qs = {q: float(np.quantile(stats, q)) for q in (0.1, 0.5, 0.9)}
     return WeightedSupReport(
@@ -383,14 +384,14 @@ def conditional_regularity(
     cells = [_lag_cells(grid, lag) for lag in lags]
     window = _window_of(grid, window)
 
-    snaps = [f for pr in pairs for f in _in_window(pr.diffs, window)]
+    snaps = [row for pr in pairs for row in pr.diffs[_window_slice(pr.times, window)]]
     if not snaps:
         raise InputError("no difference snapshots in window")
-    if max(float(np.max(np.abs(f.values))) for f in snaps) == 0.0:
+    if max(float(np.max(np.abs(row))) for row in snaps) == 0.0:
         raise DomainError("conditioning degenerate: difference field is identically zero")
 
     # each snapshot's |increment|^p at each lag, computed once for every fit
-    powers = [[_increment_power(f.values, p, order, c) for f in snaps] for c in cells]
+    powers = [[_increment_power(row, p, order, c) for row in snaps] for c in cells]
 
     def report(masks, conditioning=None):
         """Fit of the anchor-pooled moments; ``masks[i]`` selects snapshot
@@ -421,8 +422,8 @@ def conditional_regularity(
         thresh = float(eps) ** xi
         masks = []
         occupied = 0
-        for f in snaps:
-            local_min = minimum_filter1d(np.abs(f.values), size=2 * w + 1, mode="wrap")
+        for row in snaps:
+            local_min = minimum_filter1d(np.abs(row), size=2 * w + 1, mode="wrap")
             mask = local_min <= thresh
             occupied += int(np.count_nonzero(mask))
             masks.append(mask)
@@ -484,8 +485,12 @@ def uniqueness_gap(pairs) -> UniquenessReport:
     deltas = tuple(sorted(by_delta))
     median_l1, median_sup, peak_l1 = {}, {}, {}
     for d, group in by_delta.items():
-        l1 = np.array([[np.sum(np.abs(f.values)) * cell for f in pr.diffs] for pr in group])
-        sup = np.array([[np.max(np.abs(f.values)) for f in pr.diffs] for pr in group])
+        l1, sup = [], []
+        for pr in group:
+            diffs = pr.diffs
+            l1.append([np.sum(np.abs(row)) * cell for row in diffs])
+            sup.append([np.max(np.abs(row)) for row in diffs])
+        l1, sup = np.array(l1), np.array(sup)
         median_l1[d] = np.median(l1, axis=0)
         median_sup[d] = np.median(sup, axis=0)
         peak_l1[d] = float(np.median(np.max(l1, axis=1)))

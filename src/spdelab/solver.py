@@ -15,12 +15,18 @@ is the setting in which pathwise uniqueness is probed numerically: the
 difference field of a pair started from identical data is identically zero,
 and for small initial perturbations the difference should shrink with the
 perturbation.  Each (replica, leg) row is bitwise the run it would be alone.
+
+A :class:`Trajectory` holds its snapshots as one ``(snapshots, *grid)``
+array, ``values``, with the integer step of each row in ``steps`` and the
+requested time in ``times``; snapshot ``i`` is ``values[i]``, recorded after
+``steps[i]`` steps.  Estimators pair snapshots by these steps, never by
+converting a time back into a step.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -180,28 +186,16 @@ class InitialCondition:
         return loaded.values
 
 
-def initial_field(grid: GridSpec, u0_spec: InitialCondition) -> "Field":
-    """Materialize initial data as a Field at t = 0."""
-    return Field(grid=grid, t=0.0, values=u0_spec.evaluate(grid))
-
-
-@dataclass(eq=False)
-class Field:
-    """One spatial snapshot of the solution."""
-
-    grid: GridSpec
-    t: float
-    values: np.ndarray
-
-
 @dataclass(eq=False)
 class Trajectory:
-    """Time-indexed snapshots plus provenance and clipping statistics."""
+    """Snapshots as one ``(snapshots, *grid)`` array, with the integer step and
+    the requested time of each row, plus provenance and clipping statistics."""
 
     fingerprint: str
     grid: GridSpec
     times: tuple
-    fields: list
+    steps: tuple
+    values: np.ndarray
     clip_count: int = 0
     clip_max: float = 0.0
     complete: bool = True
@@ -277,15 +271,22 @@ def config_fingerprint(
     )
 
 
+def _step_of(dt: float, t: float) -> int:
+    """The step index of time ``t`` on the ``dt`` lattice; off the lattice or
+    negative is a DomainError."""
+    m = t / dt
+    mi = int(round(m))
+    if abs(m - mi) > 1e-6 or mi < 0:
+        raise DomainError(f"time {t} is not on the step lattice (dt={dt})")
+    return mi
+
+
 def _snapshot_steps(dt: float, snapshot_times) -> dict[int, float]:
     """Map requested snapshot times onto step indices; times keep their requested values."""
     want: dict[int, float] = {}
     prev = -1
     for t in snapshot_times:
-        m = t / dt
-        mi = int(round(m))
-        if abs(m - mi) > 1e-6 or mi < 0:
-            raise DomainError(f"snapshot time {t} is not on the step lattice (dt={dt})")
+        mi = _step_of(dt, t)
         if mi <= prev:
             raise DomainError("snapshot times must be strictly increasing")
         want[mi] = float(t)
@@ -306,13 +307,17 @@ def _integrate(
     """Step the initial fields ``legs0``, nested ``[replica][leg]``, as one
     ``(replicas, legs, *grid)`` stack; returns Trajectories nested the same way.
 
+    Snapshots go into one ``(snapshots, replicas, legs, *grid)`` buffer, and
+    the Trajectory of (replica ``r``, leg ``k``) holds the view ``buf[:, r, k]``
+    with the integer step of each row.
+
     Step ``m`` draws replica ``r``'s ``dW`` from ``streams[r].at_step(m - 1)``
     and broadcasts it over that replica's legs.  The FFTs transform each
     (replica, leg) row independently, so every row is bitwise the run it would
     be on its own.  A blow-up stops the batch at the first step where any
     replica is non-finite; the BlowUpError names that step, the lowest
     replica id at it and that replica's config fingerprint, and carries its
-    ``partial_trajectories`` (``complete=False``).
+    ``partial_trajectories`` (``complete=False``): the rows recorded so far.
     """
     dt = grid.dt
     want = _snapshot_steps(dt, snapshot_times)
@@ -323,22 +328,22 @@ def _integrate(
     fingerprints = [config_fingerprint(grid, kspec, sspec, u0_spec, s) for s in streams]
     hi = 1.0 if sspec.kind == "viot" else np.inf
 
-    # one copy of the stack per snapshot; Fields are views of it
-    snaps: list[np.ndarray] = []
-    times: list[float] = []
+    buf = np.empty((len(want),) + u.shape)
+    steps = tuple(want)
+    times = tuple(want.values())
+    done = 0
     clip_count = np.zeros(shape, dtype=np.int64)
     clip_max = np.zeros(shape)
 
     def trajectories(r: int, complete: bool) -> list[Trajectory]:
         return [
-            Trajectory(fingerprint=fingerprints[r], grid=grid, times=tuple(times),
-                       fields=[Field(grid=grid, t=t, values=snap[r, k]) for t, snap in zip(times, snaps)],
-                       clip_count=int(clip_count[r, k]), clip_max=float(clip_max[r, k]),
-                       complete=complete)
+            Trajectory(fingerprint=fingerprints[r], grid=grid, times=times[:done], steps=steps[:done],
+                       values=buf[:done, r, k], clip_count=int(clip_count[r, k]),
+                       clip_max=float(clip_max[r, k]), complete=complete)
             for k in range(shape[1])
         ]
 
-    last = max(want) if want else 0
+    last = steps[-1] if steps else 0
     for m in range(last + 1):
         if m > 0:
             dw = stepper.sample_dw([s.at_step(m - 1) for s in streams])
@@ -359,8 +364,8 @@ def _integrate(
                     clip_max = np.maximum(clip_max, np.max(np.abs(u - clipped), axis=grid_axes))
                     u = clipped
         if m in want:
-            snaps.append(u.copy())
-            times.append(want[m])
+            buf[done] = u
+            done += 1
     return [trajectories(r, complete=True) for r in range(shape[0])]
 
 
@@ -409,12 +414,17 @@ def simulate(
 
 @dataclass(eq=False)
 class SolutionPair:
-    """Two trajectories driven by the identical noise, plus their difference."""
+    """Two trajectories driven by the identical noise."""
 
     delta: float
     traj_a: Trajectory
     traj_b: Trajectory
-    diffs: list = dataclass_field(default_factory=list)
+
+    @property
+    def diffs(self) -> np.ndarray:
+        """``traj_a.values - traj_b.values``, one ``(snapshots, *grid)`` array,
+        formed on each access so that a batch of pairs holds no copy."""
+        return self.traj_a.values - self.traj_b.values
 
     @property
     def grid(self) -> GridSpec:
@@ -429,11 +439,7 @@ def _pairs(deltas, trajs: list[Trajectory]) -> list[SolutionPair]:
     """Pair leg 0 with leg ``k + 1`` for ``deltas[k]``."""
     traj_a = trajs[0]
     return [
-        SolutionPair(delta=delta, traj_a=traj_a, traj_b=traj_b, diffs=[
-            Field(grid=fa.grid, t=fa.t, values=fa.values - fb.values)
-            for fa, fb in zip(traj_a.fields, traj_b.fields)
-        ])
-        for delta, traj_b in zip(deltas, trajs[1:])
+        SolutionPair(delta=delta, traj_a=traj_a, traj_b=traj_b) for delta, traj_b in zip(deltas, trajs[1:])
     ]
 
 

@@ -1,5 +1,6 @@
 """CLI orchestration: exit codes, artifacts, determinism, config handling."""
 
+import csv
 import hashlib
 import os
 import subprocess
@@ -84,6 +85,29 @@ class TestConfig:
     def test_auto_maps_to_default(self):
         cfg = ExperimentConfig.load(None, ["grid.dt=auto"], defaults=DEFAULT_CONFIG)
         assert cfg.get_float("grid.dt", None) is None
+
+    def test_auto_u0_value_is_the_documented_default(self):
+        unset = ExperimentConfig.load(None, [], defaults=DEFAULT_CONFIG).u0()
+        auto = ExperimentConfig.load(None, ["u0.value=auto"], defaults=DEFAULT_CONFIG).u0()
+        assert auto == unset
+        assert auto.value == 1.0
+
+    def test_auto_holder_order_is_the_documented_default(self, tmp_path, monkeypatch):
+        # small-value reads holder.order; "auto" must run the default order 2
+        monkeypatch.setenv("SPDELAB_THREADS", "1")
+        args = ["small-value", "--set", "grid.n=64", "--set", "grid.dt=0.0001220703125",
+                "--set", "grid.t_end=0.0625", "--set", "holder.snap_every=16",
+                "--set", "sigma.kind=holder-power", "--set", "sigma.gamma=0.5",
+                "--set", "sigma.scale=2.0", "--set", "smallvalue.eps_cells=2,4",
+                "--set", "smallvalue.xi=1.2", "--replicas", "3", "--seed", "5"]
+        columns = ("exponent_conditional", "exponent_unconditional", "gap")
+        tables = []
+        for extra in ([], ["--set", "holder.order=auto"]):
+            out = tmp_path / f"o{len(tables)}"
+            assert main(args + extra + ["--out", str(out)]) == 0
+            with open(out / "smallvalue.csv", newline="") as fh:
+                tables.append([[row[c] for c in columns] for row in csv.DictReader(fh)])
+        assert tables[0] == tables[1]
 
     def test_bad_override_rejected(self):
         with pytest.raises(ConfigError):

@@ -14,12 +14,10 @@ from spdelab.noise import (
     write_field,
 )
 from spdelab.solver import (
-    Field,
     InitialCondition,
     SigmaSpec,
     _integrate,
     config_fingerprint,
-    initial_field,
     sigma_eval,
     simulate,
     simulate_pairs,
@@ -95,22 +93,26 @@ class TestSigmaEval:
 class TestInitialField:
     def test_constant(self):
         g = grid1d()
-        f = initial_field(g, InitialCondition(kind="constant", value=1.0))
-        assert np.all(f.values == 1.0)
-        assert f.t == 0.0
+        u0 = InitialCondition(kind="constant", value=1.0)
+        values = u0.evaluate(g)
+        assert np.all(values == 1.0)
+        # the snapshot at t = 0 is the initial data itself, at step 0
+        traj = simulate(g, KernelSpec(kind="white"), sigma_zero(), u0, RngStream(1), [0.0])
+        assert np.array_equal(traj.values[0], values)
+        assert traj.times == (0.0,) and traj.steps == (0,)
 
     def test_sine_quarter_domain(self):
         g = grid1d(n=256, l=4.0)
-        f = initial_field(g, InitialCondition(kind="sine", k=1, amplitude=1.0, offset=0.0))
+        values = InitialCondition(kind="sine", k=1, amplitude=1.0, offset=0.0).evaluate(g)
         i = np.argmin(np.abs(g.axis_coords() - g.l / 4))
-        assert f.values[i] == pytest.approx(1.0, abs=1e-12)
+        assert values[i] == pytest.approx(1.0, abs=1e-12)
 
     def test_file_round_trip(self, tmp_path):
         g = grid1d(n=128)
         k = KernelSpec(kind="riesz", alpha=0.5)
         values = synthesize(g, spectral_amplitudes(g, k) * np.sqrt(0.01), RngStream(3).generator())
-        f = initial_field(g, file_ic(g, k, values, tmp_path / "u0.bin"))
-        assert np.array_equal(f.values, values)
+        loaded = file_ic(g, k, values, tmp_path / "u0.bin").evaluate(g)
+        assert np.array_equal(loaded, values)
 
     def test_file_wrong_grid(self, tmp_path):
         g = grid1d(n=128)
@@ -118,14 +120,14 @@ class TestInitialField:
         values = synthesize(g, spectral_amplitudes(g, k) * np.sqrt(0.01), RngStream(3).generator())
         u0 = file_ic(g, k, values, tmp_path / "u0.bin")
         with pytest.raises(InputError):
-            initial_field(grid1d(n=256), u0)
+            u0.evaluate(grid1d(n=256))
 
     def test_bump_periodic(self):
         g = grid1d(n=256, l=2.0)
-        f = initial_field(g, InitialCondition(kind="bump", center=0.0, width=0.1, height=2.0))
-        assert f.values[0] == pytest.approx(2.0)
+        values = InitialCondition(kind="bump", center=0.0, width=0.1, height=2.0).evaluate(g)
+        assert values[0] == pytest.approx(2.0)
         # wrap-around symmetry about the center
-        assert f.values[1] == pytest.approx(f.values[-1], rel=1e-12)
+        assert values[1] == pytest.approx(values[-1], rel=1e-12)
 
 
 class TestStep:
@@ -137,14 +139,14 @@ class TestStep:
         traj = simulate(g, KernelSpec(kind="bounded-constant"), sigma_zero(), u0, RngStream(1), [g.dt])
         decay = np.exp(-2 * np.pi**2 * g.dt / g.l**2)
         expect = decay * np.sin(2 * np.pi * g.axis_coords() / g.l)
-        assert np.max(np.abs(traj.fields[0].values - expect)) <= 1e-12
+        assert np.max(np.abs(traj.values[0] - expect)) <= 1e-12
 
     def test_sigma_zero_ignores_noise(self):
         # two different noise draws, and exact heat flow with no noise at all
         g = grid1d(n=128)
         u0 = InitialCondition(kind="sine", k=3, amplitude=0.7)
         k = KernelSpec(kind="riesz", alpha=0.5)
-        a, b = (simulate(g, k, sigma_zero(), u0, RngStream(s), [g.dt]).fields[0].values for s in (5, 6))
+        a, b = (simulate(g, k, sigma_zero(), u0, RngStream(s), [g.dt]).values[0] for s in (5, 6))
         heat = np.fft.rfft(u0.evaluate(g)) * semigroup_multiplier(np.fft.rfftfreq(g.n, d=g.h), g.dt)
         assert np.array_equal(a, b)
         assert np.array_equal(a, np.fft.irfft(heat, g.n))
@@ -167,8 +169,8 @@ class TestStep:
         sq = {m: [] for m in checkpoints}
         for r in range(replicas):
             traj = simulate(g, k, sigma_const(1.0), u0, RngStream(31, r), times)
-            for m, f in zip(checkpoints, traj.fields):
-                sq[m].append(np.mean(f.values**2))
+            for m, row in zip(checkpoints, traj.values):
+                sq[m].append(np.mean(row**2))
         mass = spectral_amplitudes(g, k) ** 2 * g.dt
         kk = np.fft.fftfreq(g.n, d=1.0 / g.n)
         M2 = semigroup_multiplier(kk / g.l, g.dt) ** 2
@@ -186,8 +188,8 @@ class TestSimulate:
         k = KernelSpec(kind="riesz", alpha=0.5)
         times = [0.0, 8 * g.dt, 32 * g.dt]
         traj = simulate(g, k, sigma_zero(), InitialCondition(kind="constant", value=3.0), RngStream(1), times)
-        for f in traj.fields:
-            assert np.all(f.values == 3.0)
+        for row in traj.values:
+            assert np.all(row == 3.0)
 
     def test_bit_reproducible(self):
         g = grid1d(n=128)
@@ -197,7 +199,7 @@ class TestSimulate:
         times = [16 * g.dt]
         a = simulate(g, k, sig, u0, RngStream(9, 0), times)
         b = simulate(g, k, sig, u0, RngStream(9, 0), times)
-        assert np.array_equal(a.fields[0].values, b.fields[0].values)
+        assert np.array_equal(a.values[0], b.values[0])
         assert a.fingerprint == b.fingerprint
 
     def test_replica_order_independent(self):
@@ -209,7 +211,7 @@ class TestSimulate:
         forward = {r: simulate(g, k, sig, u0, RngStream(9, r), times) for r in (0, 1, 2)}
         backward = {r: simulate(g, k, sig, u0, RngStream(9, r), times) for r in (2, 1, 0)}
         for r in (0, 1, 2):
-            assert np.array_equal(forward[r].fields[0].values, backward[r].fields[0].values)
+            assert np.array_equal(forward[r].values[0], backward[r].values[0])
 
     def test_superposition_for_constant_sigma(self):
         # affine in u0: f(u0 + c, W) - f(u0, W) = exact heat flow of c
@@ -220,7 +222,7 @@ class TestSimulate:
         sine_plus = InitialCondition(kind="sine", k=2, amplitude=1.0, offset=0.9)
         a = simulate(g, k, sigma_const(1.0), sine, RngStream(13), times)
         b = simulate(g, k, sigma_const(1.0), sine_plus, RngStream(13), times)
-        diff = b.fields[0].values - a.fields[0].values
+        diff = b.values[0] - a.values[0]
         assert np.max(np.abs(diff - 0.9)) <= 1e-10
 
     def test_snapshot_off_lattice_rejected(self):
@@ -263,9 +265,9 @@ class TestSimulate:
         (pair,) = err.partial_pairs
         assert not pair.traj_a.complete and not pair.traj_b.complete
         assert pair.times == (0.0,)
-        assert [d.t for d in pair.diffs] == [0.0]
-        a, b = pair.traj_a.fields[0].values, pair.traj_b.fields[0].values
-        assert np.array_equal(pair.diffs[0].values, a - b)
+        assert len(pair.diffs) == 1 and pair.traj_a.steps == (0,)
+        a, b = pair.traj_a.values[0], pair.traj_b.values[0]
+        assert np.array_equal(pair.diffs[0], a - b)
 
     def test_blow_up_carries_config_fingerprint(self):
         g = grid1d(n=64, l=1.0, t_end=0.01)
@@ -290,16 +292,68 @@ class TestSimulate:
         traj = simulate(g, k, sig, u0, RngStream(17), times, clip=True)
         assert traj.clip_count > 0
         assert traj.clip_max > 0
-        for f in traj.fields:
-            assert np.all((f.values >= 0.0) & (f.values <= 1.0))
+        for row in traj.values:
+            assert np.all((row >= 0.0) & (row <= 1.0))
 
     def test_2d_simulation_runs(self):
         g = GridSpec(dim=2, n=32, l=1.0, t_end=16 * (1.0 / 32) ** 2)
         k = KernelSpec(kind="riesz", alpha=1.0, dim=2)
         sig = SigmaSpec(kind="lipschitz-linear")
         traj = simulate(g, k, sig, InitialCondition(kind="constant", value=1.0), RngStream(1), [16 * g.dt])
-        assert traj.fields[0].values.shape == (32, 32)
-        assert np.all(np.isfinite(traj.fields[0].values))
+        assert traj.values[0].shape == (32, 32)
+        assert np.all(np.isfinite(traj.values[0]))
+
+
+class TestSteps:
+    """Every Trajectory carries the integer step of each snapshot row."""
+
+    STEPS = (0, 8, 16, 40)
+
+    def case(self):
+        g = grid1d(n=64, t_end=40 * (1.0 / 64) ** 2)
+        k = KernelSpec(kind="riesz", alpha=0.5)
+        u0 = InitialCondition(kind="constant", value=1.0)
+        return g, k, SigmaSpec(kind="holder-power", gamma=0.7), u0, [m * g.dt for m in self.STEPS]
+
+    def test_simulate(self):
+        g, k, sig, u0, times = self.case()
+        traj = simulate(g, k, sig, u0, RngStream(3), times)
+        assert traj.steps == self.STEPS
+        assert traj.times == tuple(times)
+        assert traj.values.shape == (len(self.STEPS), g.n)
+        assert all(row.flags.c_contiguous for row in traj.values)
+
+    def test_simulate_replicas(self):
+        g, k, sig, u0, times = self.case()
+        trajs = simulate_replicas(g, k, sig, u0, [RngStream(3, r) for r in range(3)], times)
+        assert [t.steps for t in trajs] == [self.STEPS] * 3
+
+    def test_simulate_pairs(self):
+        g, k, sig, u0, times = self.case()
+        pert = InitialCondition(kind="bump", center=0.5, width=0.1, height=1.0)
+        batch = simulate_pairs(g, k, sig, u0, pert, [0.0, 0.1], [RngStream(3, r) for r in range(2)], times)
+        for pairs in batch:
+            for pair in pairs:
+                assert pair.traj_a.steps == pair.traj_b.steps == self.STEPS
+                assert pair.diffs.shape == (len(self.STEPS), g.n)
+
+    def test_partial_trajectory_lengths_agree(self):
+        # blows up at step 22 of 80: the rows recorded before it, each with its step
+        g = grid1d(n=64, l=1.0, t_end=0.01)
+        k = KernelSpec(kind="bounded-constant", amplitude=1.0)
+        sig = SigmaSpec(kind="lipschitz-linear", scale=1e12)
+        u0 = InitialCondition(kind="constant", value=1e100)
+        pert = InitialCondition(kind="bump", center=0.5, width=0.1, height=1.0)
+        times = [m * g.dt for m in range(0, 81, 8)]
+        with pytest.raises(BlowUpError) as exc:
+            simulate(g, k, sig, u0, RngStream(2), times)
+        traj = exc.value.partial_trajectory
+        assert 0 < len(traj.values) == len(traj.steps) == len(traj.times) < len(times)
+        assert traj.steps == tuple(range(0, exc.value.step_index, 8))
+        with pytest.raises(BlowUpError) as exc:
+            simulate_pairs(g, k, sig, u0, pert, [0.1], [RngStream(2)], times)
+        (pair,) = exc.value.partial_pairs
+        assert len(pair.diffs) == len(pair.traj_b.values) == len(pair.traj_b.steps) == len(traj.steps)
 
 
 class TestSimulatePair:
@@ -311,7 +365,7 @@ class TestSimulatePair:
         pert = InitialCondition(kind="bump", center=0.5, width=0.1, height=1.0)
         ((pair,),) = simulate_pairs(g, k, sig, u0, pert, [0.0], [RngStream(4)], [0.0, 16 * g.dt, 32 * g.dt])
         for d in pair.diffs:
-            assert np.all(d.values == 0.0)
+            assert np.all(d == 0.0)
 
     def test_sigma_zero_difference_is_heat_flow(self):
         g = grid1d(n=256)
@@ -324,7 +378,7 @@ class TestSimulatePair:
         xi = np.fft.rfftfreq(g.n, d=g.h)
         mult = semigroup_multiplier(xi, m * g.dt)
         expect = np.fft.irfft(np.fft.rfft(-delta * pert.evaluate(g)) * mult, g.n)
-        assert np.max(np.abs(pair.diffs[0].values - expect)) <= 1e-12
+        assert np.max(np.abs(pair.diffs[0] - expect)) <= 1e-12
 
     def test_same_noise_both_legs(self):
         # with sigma constant the difference is deterministic even with noise on
@@ -336,7 +390,7 @@ class TestSimulatePair:
         ((pair,),) = simulate_pairs(g, k, sigma_const(2.0), u0, pert, [0.5], [RngStream(8)], [m * g.dt])
         decay = np.exp(-2 * np.pi**2 * m * g.dt / g.l**2)
         expect = -0.5 * decay * np.sin(2 * np.pi * g.axis_coords() / g.l)
-        assert np.max(np.abs(pair.diffs[0].values - expect)) <= 1e-11
+        assert np.max(np.abs(pair.diffs[0] - expect)) <= 1e-11
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_legs_match_separate_runs_bitwise(self, dim, tmp_path):
@@ -361,10 +415,10 @@ class TestSimulatePair:
 
         assert pair.times == traj_a.times == traj_b.times
         for leg, alone in ((pair.traj_a, traj_a), (pair.traj_b, traj_b)):
-            for f_leg, f_alone in zip(leg.fields, alone.fields, strict=True):
-                assert np.array_equal(f_leg.values, f_alone.values)
-        for d, fa, fb in zip(pair.diffs, traj_a.fields, traj_b.fields, strict=True):
-            assert np.array_equal(d.values, fa.values - fb.values)
+            for f_leg, f_alone in zip(leg.values, alone.values, strict=True):
+                assert np.array_equal(f_leg, f_alone)
+        for d, fa, fb in zip(pair.diffs, traj_a.values, traj_b.values, strict=True):
+            assert np.array_equal(d, fa - fb)
 
 
 def grid_for(dim):
@@ -375,10 +429,11 @@ def grid_for(dim):
 
 def assert_same_run(batched, alone):
     assert batched.times == alone.times
+    assert batched.steps == alone.steps
     assert batched.fingerprint == alone.fingerprint
     assert (batched.clip_count, batched.clip_max) == (alone.clip_count, alone.clip_max)
-    for f_batch, f_alone in zip(batched.fields, alone.fields, strict=True):
-        assert np.array_equal(f_batch.values, f_alone.values)
+    for f_batch, f_alone in zip(batched.values, alone.values, strict=True):
+        assert np.array_equal(f_batch, f_alone)
 
 
 class TestBatch:
@@ -432,8 +487,8 @@ class TestBatch:
                 assert_same_run(pair.traj_a, alone.traj_a)
                 assert_same_run(pair.traj_b, alone.traj_b)
                 for d_batch, d_alone in zip(pair.diffs, alone.diffs, strict=True):
-                    assert np.array_equal(d_batch.values, d_alone.values)
-            assert all(np.all(d.values == 0.0) for d in pairs[0].diffs)
+                    assert np.array_equal(d_batch, d_alone)
+            assert all(np.all(d == 0.0) for d in pairs[0].diffs)
 
     def test_blow_up_names_first_step_then_lowest_replica(self):
         # per-replica blow-up steps for seed 2 are 22, 22, 22, 22, 21
