@@ -192,6 +192,7 @@ def _cmd_simulate(cfg: ExperimentConfig, gated: bool) -> int:
             "clip_count": traj.clip_count,
             "clip_max": traj.clip_max,
             "snapshots": len(traj.values),
+            "final_step": traj.steps[-1],
         },
     )
     print(f"simulate: {len(traj.values)} snapshots, clip_count={traj.clip_count}")

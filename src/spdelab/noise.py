@@ -13,7 +13,9 @@ separations approaching the domain scale by far more than the 10% contract.
 
 The resolvable band ends at the Nyquist frequency ``n/(2l)``; truncating
 there mollifies the ``r -> 0`` singularity of the kernel at the grid scale
-``h``, which is the intended grid-level regularisation.
+``h``, which is the intended grid-level regularisation.  Only the half
+spectrum is drawn (``n/2+1`` modes in 1-D, ``n*(n/2+1)`` in 2-D); the inverse
+real DFT supplies the conjugate half, so fields are real by construction.
 
 Covariance estimates rest on the Wiener-Khinchin identity: a field's circular
 autocovariance at every lag is one inverse DFT of its power spectrum.
@@ -202,32 +204,46 @@ def spectral_amplitudes(grid: GridSpec, kspec: KernelSpec) -> np.ndarray:
 
 
 def _draw_spectrum(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Coefficients ``mode_std * z`` of one draw: rfft half spectrum (1-D), full Hermitian (2-D)."""
+    """Coefficients ``mode_std * z`` of one draw on the rfft half spectrum (last axis ``0..n/2``)."""
+    n, nh = grid.n, grid.n // 2 + 1
     if grid.dim == 1:
-        nh = grid.n // 2 + 1
         g = rng.standard_normal((2, nh))
         z = (g[0] + 1j * g[1]) * np.sqrt(0.5)
         z[0] = g[0, 0]  # self-conjugate modes are real with unit variance
         z[-1] = g[0, -1]
         return mode_std[:nh] * z
-    g = rng.standard_normal((2,) + grid.shape)
+    g = rng.standard_normal((2, n, nh))
     z = (g[0] + 1j * g[1]) * np.sqrt(0.5)
-    rev = (-np.arange(grid.n)) % grid.n
-    return mode_std * ((z + np.conj(z[np.ix_(rev, rev)])) * np.sqrt(0.5))
+    edge = z[:, :: n // 2]  # view of columns ky = 0, n/2: Hermitian along kx, as irfft2 needs
+    edge[:: n // 2] = g[0, :: n // 2, :: n // 2]  # self-conjugate modes
+    edge[n // 2 + 1:] = np.conj(edge[n // 2 - 1:0:-1])
+    return mode_std[:, :nh] * z
 
 
-def _power(spectrum: np.ndarray) -> np.ndarray:
-    """``|spectrum|^2`` summed over every axis after the first."""
-    return (spectrum.real**2 + spectrum.imag**2).sum(axis=tuple(range(1, spectrum.ndim)))
+def _draw_power(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``|S|^2`` at ``kx = 0..n/2`` of ``S = _draw_spectrum(grid, mode_std, rng)``, summed over ``ky``.
+
+    1-D: formed from the normal rows with no complex array, bitwise ``|S|^2``.
+    2-D: the edge columns count once, each interior column at ``kx`` and ``-kx``."""
+    if grid.dim == 1:
+        g = rng.standard_normal((2, grid.n // 2 + 1))
+        a = mode_std[: grid.n // 2 + 1]
+        power = (a * (g[0] * np.sqrt(0.5))) ** 2 + (a * (g[1] * np.sqrt(0.5))) ** 2
+        power[[0, -1]] = (a[[0, -1]] * g[0, [0, -1]]) ** 2  # the real modes
+        return power
+    s = _draw_spectrum(grid, mode_std, rng)
+    p = s.real**2 + s.imag**2
+    inner = p[:, 1:-1].sum(axis=1)
+    return (p[:, 0] + p[:, -1] + inner + np.roll(inner[::-1], 1))[: grid.n // 2 + 1]
 
 
 def synthesize(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one real Gaussian field with the given per-mode standard deviations.
 
     ``mode_std`` lives on the full signed-frequency grid (``numpy.fft.fftfreq``
-    layout) and must be symmetric under frequency negation.  The draw is
-    conjugate-symmetric in spectral space, so the returned field is real by
-    construction.
+    layout) and must be symmetric under frequency negation.  Only its half
+    spectrum is drawn, and the inverse real DFT implies the conjugate half,
+    so the returned field is real by construction.
     """
     mode_std = np.asarray(mode_std, dtype=float)
     if mode_std.shape != grid.shape:
@@ -240,20 +256,13 @@ def synthesize(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -
 def _fields(grid: GridSpec, spectra: np.ndarray) -> np.ndarray:
     """Real fields of ``_draw_spectrum`` draws stacked on a leading axis.
 
-    The inverse DFT is unscaled (``norm="forward"``), so a field is the plain
-    sum of its modes.  Each row is transformed on its own, so it is bitwise
-    the field of that draw alone.  In 2-D every draw's imaginary residue is
-    checked against its own scale, never against one max over the stack.
+    The inverse real DFT (``irfft`` in 1-D, ``irfft2`` in 2-D) is unscaled
+    (``norm="forward"``), so a field is the plain sum of its modes.  Each row
+    is transformed on its own, so it is bitwise the field of that draw alone.
     """
     if grid.dim == 1:
         return np.fft.irfft(spectra, grid.n, norm="forward")
-    fields = np.fft.ifft2(spectra, norm="forward")
-    residue = np.max(np.abs(fields.imag), axis=(-2, -1))
-    scale = np.maximum(1.0, np.max(np.abs(fields.real), axis=(-2, -1)))
-    bad = np.flatnonzero(residue > 1e-9 * scale)
-    if bad.size:
-        raise SpectralError(f"imaginary residue {float(residue[bad[0]])} exceeds tolerance")
-    return np.ascontiguousarray(fields.real)
+    return np.fft.irfft2(spectra, grid.shape, norm="forward")
 
 
 @dataclass(frozen=True)
@@ -299,8 +308,8 @@ def covariance_check(
     independent increments (distinct step indices).  No field is formed: by
     Wiener-Khinchin, ``mean(x * roll(x, g))`` of the field
     ``x = irfft(S, norm="forward")`` is ``irfft(n * |S|^2)[g]``, so each
-    replica sums the power of its drawn spectra ``S`` (over the trailing axes
-    too in 2-D) and takes one ``irfft``.
+    replica sums the power of its drawn spectra ``S`` (in 2-D, summed over
+    ``ky``) and takes one ``irfft``.
     The standard error comes from the spread of the per-replica means.  With a
     single increment per replica the estimator is noise-limited at large lags
     (its variance is dominated by the grid-scale mollified singularity), so
@@ -320,7 +329,7 @@ def covariance_check(
         power = np.zeros(nh)
         for m in range(steps_per_replica):
             rng = RngStream(master_seed, r, m).generator()
-            power += _power(_draw_spectrum(grid, amps, rng))[:nh]
+            power += _draw_power(grid, amps, rng)
         per_replica[r] = np.fft.irfft(n * power, n)[offsets] / steps_per_replica
     return [
         CovarianceRow(lag=float(lag), estimate=float(np.mean(col)),

@@ -230,6 +230,14 @@ class TestArtifacts:
         for key in ("grid.n", "kernel.kind", "sigma.kind", "run.seed"):
             assert f"{key} = " in manifest
 
+    def test_simulate_manifest_names_final_step(self, tmp_path):
+        # 23 steps at the default stride round(23/8) = 3: the last snapshot is step 21
+        out = tmp_path / "o"
+        assert main(["simulate", "--set", "grid.n=32", "--set", "grid.t_end=0.01123046875",
+                     "--out", str(out)]) == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "snapshots = 8" in manifest and "final_step = 21" in manifest
+
     def test_simulate_writes_snapshots(self, tmp_path):
         out = tmp_path / "o"
         proc = run_cli(["simulate", *FAST_SIM, "--out", str(out)])
@@ -408,17 +416,19 @@ class TestGoldenBytes:
          "258873fd3523a2b23c50fe3a52c7ed8a57487e7fe0636c3ee4e04216643edab0"),
         (["--set", "grid.dim=2", "--set", "grid.n=32", "--set", "kernel.alpha=1.0",
           "--set", "grid.t_end=0.0078125"],
-         "a26b256da66f7bb4db02506e74b27d384138fadb7f3cb19f96510dfee8c38981"),
+         "ec48095498ca39ea4606c4a649e453318c2805f4051832cd40000d42ece85d13"),
     ], ids=["1d", "2d"])
     def test_simulate_artifacts_unchanged(self, tmp_path, args, expected):
-        """Recorded before the noise fields were inverted with ``norm="forward"``."""
+        """1-D recorded before the noise fields were inverted with
+        ``norm="forward"``; 2-D recorded from the half-spectrum draw."""
         out = tmp_path / "o"
         assert main(["simulate", *args, "--seed", "5", "--out", str(out)]) == 0
         assert len(list(out.glob("snapshot_*.bin"))) == 9
         assert sha256_of_simulate(out) == expected
 
     def test_noise_check_artifacts_unchanged(self, tmp_path):
-        """Recorded before the noise fields were inverted with ``norm="forward"``."""
+        """1-D recorded before the noise fields were inverted with
+        ``norm="forward"``; 2-D recorded from the half-spectrum draw."""
         digests = {}
         for dim, args in ((1, ["--set", "grid.n=256"]),
                           (2, ["--set", "grid.dim=2", "--set", "grid.n=32", "--set", "kernel.alpha=1.0",
@@ -430,5 +440,5 @@ class TestGoldenBytes:
             digests[dim] = sha256_of(out, "noise_covariance.csv")["noise_covariance.csv"]
         assert digests == {
             1: "659c34d82a19e7efb08ac00cb5047c86ae6bc538ef8149793fff9e8d7515ea30",
-            2: "291a7749cdb5db916135e2e1ed3a9d8660711f6912347523e9f8162f5570f37d",
+            2: "ec4a42be19b888f704b72654985e293a9200918166b172b9f87aad543b27bfa5",
         }

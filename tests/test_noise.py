@@ -21,7 +21,7 @@ from spdelab.noise import (
     synthesize,
     write_field,
 )
-from spdelab.noise import _fields
+from spdelab.noise import _draw_spectrum, _fields
 
 
 def grid1d(n=512, l=1.0, **kw):
@@ -32,6 +32,19 @@ def grid1d(n=512, l=1.0, **kw):
 def draw(g, k, dt, stream):
     """One increment with covariance ``dt * k``: the draw the solver makes at ``stream``."""
     return synthesize(g, spectral_amplitudes(g, k) * np.sqrt(dt), stream.generator())
+
+
+class UnitNormals:
+    """Stand-in generator whose one draw is the ``i``-th unit vector; records the shape asked for."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def standard_normal(self, shape):
+        self.shape = shape
+        e = np.zeros(shape)
+        e.flat[self.i] = 1.0
+        return e
 
 
 def noise_field(g, k, dt, stream):
@@ -163,32 +176,39 @@ class TestSampleIncrement:
         z = np.mean(means) / (np.std(means, ddof=1) / np.sqrt(len(means)))
         assert abs(z) <= 3.5
 
-    def test_2d_spectral_draw_is_conjugate_symmetric(self):
-        # reconstruct the 2-D draw and check the pre-discard imaginary residue
-        g = GridSpec(dim=2, n=64, l=1.0, t_end=1.0)
-        k = KernelSpec(kind="riesz", alpha=1.0, dim=2)
+    @pytest.mark.parametrize("dim, n", [(1, 8), (1, 16), (2, 8), (2, 16)],
+                             ids=["1d-n8", "1d-n16", "2d-n8", "2d-n16"])
+    def test_synthesizer_covariance_is_exact(self, dim, n):
+        # the field is linear in the normals, so feeding each unit vector
+        # through the draw gives the synthesis matrix A; its exact covariance
+        # A A^T must be stationary with every row ifft(mass) * n^d
+        g = GridSpec(dim=dim, n=n, l=1.0, t_end=1.0)
+        k = KernelSpec(kind="riesz", alpha=0.5 if dim == 1 else 1.0, dim=dim)
         std = spectral_amplitudes(g, k)
-        stream = RngStream(99, 1, 2)
-        field = synthesize(g, std, stream.generator())
-        gg = stream.generator().standard_normal((2,) + g.shape)
-        z = (gg[0] + 1j * gg[1]) * np.sqrt(0.5)
-        rev = (-np.arange(g.n)) % g.n
-        z = (z + np.conj(z[np.ix_(rev, rev)])) * np.sqrt(0.5)
-        complex_field = np.fft.ifft2(std * z) * g.n**2
-        assert np.max(np.abs(complex_field.imag)) < 1e-12
-        assert np.array_equal(field, complex_field.real)
+        probe = UnitNormals(0)
+        synthesize(g, std, probe)
+        a = np.stack(
+            [synthesize(g, std, UnitNormals(i)).ravel() for i in range(int(np.prod(probe.shape)))],
+            axis=1,
+        )
+        cov = a @ a.T
+        c = np.fft.ifftn(std**2).real * g.n_cells
+        tol = 1e-12 * np.max(np.abs(c))
+        axes = tuple(range(dim))
+        for j, row in enumerate(cov):
+            # stationary: the row of point x_j is c at separation x - x_j
+            shift = np.unravel_index(j, g.shape)
+            assert np.max(np.abs(row.reshape(g.shape) - np.roll(c, shift, axis=axes))) <= tol
 
-    def test_2d_residue_is_checked_per_draw(self):
-        # a stack of draws: the small one's residue must be judged against its
-        # own scale (1), not the large one's (1e6), under which it would pass
-        g = GridSpec(dim=2, n=8, l=1.0, t_end=1.0)
-        large = np.zeros(g.shape, dtype=complex)
-        large[0, 0] = 1e6
-        small = np.zeros(g.shape, dtype=complex)
-        small[0, 0] = 1e-4j
-        assert np.array_equal(_fields(g, large[None])[0], np.full(g.shape, 1e6))
-        with pytest.raises(SpectralError):
-            _fields(g, np.stack([large, small]))
+    def test_2d_stacked_fields_match_single_draws(self):
+        # a stack of 2-D spectra: each row is bitwise that spectrum transformed alone
+        g = GridSpec(dim=2, n=32, l=1.0, t_end=1.0)
+        std = spectral_amplitudes(g, KernelSpec(kind="riesz", alpha=1.0, dim=2))
+        spectra = np.stack([_draw_spectrum(g, std, RngStream(8, r, 3).generator()) for r in range(3)])
+        stacked = _fields(g, spectra)
+        assert stacked.shape == (3,) + g.shape
+        for row, spectrum in zip(stacked, spectra):
+            assert np.array_equal(row, _fields(g, spectrum[None])[0])
 
     def test_renormalized_alpha_up_approaches_white(self):
         # deterministic spectral statement: the lag-(4h) correlation of the
@@ -319,7 +339,8 @@ class TestPowerSpectrumEstimator:
         assert rows[0].theory == pytest.approx(g.dt / g.h) and rows[1].theory == 0.0
 
     def test_synthesize_bits_unchanged(self):
-        # values recorded from the draw before the coefficient draw was factored out
+        # 1-D values recorded before the coefficient draw was factored out;
+        # 2-D values recorded from the half-spectrum draw inverted with irfft2
         g1 = GridSpec(dim=1, n=8, l=1.0, t_end=1.0)
         a1 = spectral_amplitudes(g1, KernelSpec(kind="riesz", alpha=0.5))
         x1 = synthesize(g1, a1, RngStream(2024, 3, 7).generator())
@@ -331,10 +352,10 @@ class TestPowerSpectrumEstimator:
         a2 = spectral_amplitudes(g2, KernelSpec(kind="riesz", alpha=1.0, dim=2))
         x2 = synthesize(g2, a2, RngStream(2024, 3, 7).generator())
         assert np.array_equal(x2, [
-            [0.8404231665986415, -1.069761031664044, 5.026065366674585, 1.5265355248798582],
-            [2.164741268210899, -1.890500343099744, -0.2878896162106561, 1.6682743985967794],
-            [6.640540463256098, 5.2182729296487835, -2.062831576239668, 0.45167717389729944],
-            [-0.17966716824209428, -0.9623690200133694, -1.4806935168752777, -0.11701445923210685],
+            [1.3548236983208382, 5.097778516123281, 3.818066196978161, 0.027509953576380752],
+            [3.3682688574764477, 3.5973240908293445, -3.001840525371046, -0.14447516097138213],
+            [1.118346917225845, -2.6498065591203934, 3.6989293901083937, -2.8265528860712656],
+            [-0.14097214209940234, 1.3915520058884983, 0.4450659945332871, 0.3317852127589924],
         ])
 
 
