@@ -44,7 +44,6 @@ from .estimators import (
 from .kernels import classify_regime
 from .noise import NoiseField, covariance_check, write_field
 from .oracles import (
-    cases_to_csv,
     fit_offset_exponent,
     space_difference_riesz,
     time_difference_riesz,
@@ -74,7 +73,7 @@ def _run_replicas(cfg: ExperimentConfig, batch):
     raised, which is the one a single batch would raise; any other error
     takes precedence, first chunk first.
     """
-    streams = [cfg.stream(r) for r in range(cfg.get_int("run.replicas", 8))]
+    streams = [cfg.stream(r) for r in range(cfg.get_int("run.replicas"))]
     threads = min(_thread_count(), len(streams))
     if threads <= 1:
         return batch(streams) if streams else []
@@ -90,13 +89,13 @@ def _run_replicas(cfg: ExperimentConfig, batch):
     return [result for f in futures for result in f.result()]
 
 
-def _write_csv(path: Path, header, rows, cfg: ExperimentConfig | None = None) -> None:
+def _write_csv(path: Path, header, rows, cfg: ExperimentConfig) -> None:
     """CSV with LF endings and repr-exact floats; every row carries the config
-    fingerprint and the artifact version when a config is given."""
-    stamp = [cfg.fingerprint(), __version__] if cfg is not None else []
+    fingerprint and the artifact version."""
+    stamp = [cfg.fingerprint(), __version__]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header) + (["fingerprint", "version"] if stamp else []))
+        writer.writerow([*header, "fingerprint", "version"])
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row] + stamp)
 
@@ -107,7 +106,7 @@ def _write_manifest(outdir: Path, cfg: ExperimentConfig, extra=None) -> None:
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.get_str("run.out", "out"))
+    out = Path(cfg.get_str("run.out"))
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write-probe"
@@ -138,14 +137,14 @@ def _cmd_regime(cfg: ExperimentConfig, gated: bool) -> int:
 
 def _cmd_noise_check(cfg: ExperimentConfig, gated: bool) -> int:
     grid, kspec = cfg.grid(), cfg.kernel()
-    replicas = cfg.get_int("run.replicas", 8)
-    cells = cfg.get_ints("noise.lags", (4, 8, 16, 32, 64))
-    tol = cfg.get_float("noise.tol", 0.10)
-    steps = cfg.get_int("noise.steps", 2048)
+    replicas = cfg.get_int("run.replicas")
+    cells = cfg.get_ints("noise.lags")
+    tol = cfg.get_float("noise.tol")
+    steps = cfg.get_int("noise.steps")
     lags = [g * grid.h for g in cells]
     rows = covariance_check(
         grid, kspec, grid.dt, lags, replicas=replicas, steps_per_replica=steps,
-        master_seed=cfg.get_int("run.seed", 0xC0FFEE),
+        master_seed=cfg.get_int("run.seed"),
     )
     ok = True
     out_rows = []
@@ -172,11 +171,11 @@ def _cmd_noise_check(cfg: ExperimentConfig, gated: bool) -> int:
 
 def _cmd_simulate(cfg: ExperimentConfig, gated: bool) -> int:
     grid, kspec, sspec = cfg.grid(), cfg.kernel(), cfg.sigma()
-    times = cfg.get_floats("sim.snapshots", ())
+    times = cfg.get_floats("sim.snapshots")
     if not times:
         times = _default_snapshots(grid, max(1, int(round(grid.t_end / grid.dt / 8))))
     traj = simulate(grid, kspec, sspec, cfg.u0(), cfg.stream(0), times,
-                    clip=cfg.get_bool("sim.clip", False))
+                    clip=cfg.get_bool("sim.clip"))
     out = _outdir(cfg)
     summary = []
     for i, (step, t, values) in enumerate(zip(traj.steps, traj.times, traj.values)):
@@ -201,7 +200,7 @@ def _cmd_simulate(cfg: ExperimentConfig, gated: bool) -> int:
 
 def _holder_trajectories(cfg: ExperimentConfig):
     grid, kspec, sspec = cfg.grid(), cfg.kernel(), cfg.sigma()
-    times = _default_snapshots(grid, cfg.get_int("holder.snap_every", 16))
+    times = _default_snapshots(grid, cfg.get_int("holder.snap_every"))
     return grid, _run_replicas(
         cfg, lambda streams: simulate_replicas(grid, kspec, sspec, cfg.u0(), streams, times)
     )
@@ -209,10 +208,10 @@ def _holder_trajectories(cfg: ExperimentConfig):
 
 def _cmd_holder(cfg: ExperimentConfig, gated: bool) -> int:
     grid, trajs = _holder_trajectories(cfg)
-    p = cfg.get_float("holder.p", 2.0)
-    order = cfg.get_int("holder.order", 2)
-    cells = cfg.get_ints("holder.lags", (8, 16, 32, 64))
-    tsteps = cfg.get_ints("holder.tsteps", (64, 128, 256, 512, 1024))
+    p = cfg.get_float("holder.p")
+    order = cfg.get_int("holder.order")
+    cells = cfg.get_ints("holder.lags")
+    tsteps = cfg.get_ints("holder.tsteps")
     space_lags = [g * grid.h for g in cells]
     time_lags = [m * grid.dt for m in tsteps]
 
@@ -236,13 +235,8 @@ def _cmd_holder(cfg: ExperimentConfig, gated: bool) -> int:
         ],
         cfg,
     )
-    ok = True
-    gate_s = cfg.get_floats("holder.gate_space", ())
-    gate_t = cfg.get_floats("holder.gate_time", ())
-    if gate_s:
-        ok &= gate_s[0] <= rep_s.exponent <= gate_s[1]
-    if gate_t:
-        ok &= gate_t[0] <= rep_t.exponent <= gate_t[1]
+    gates = ((cfg.get_floats("holder.gate_space"), rep_s), (cfg.get_floats("holder.gate_time"), rep_t))
+    ok = all(not gate or gate[0] <= rep.exponent <= gate[1] for gate, rep in gates)
     _write_manifest(out, cfg, {"spatial_exponent": rep_s.exponent, "temporal_exponent": rep_t.exponent})
     print(
         f"holder: spatial={rep_s.exponent:.4f} (se {rep_s.stderr:.4f}), "
@@ -252,15 +246,13 @@ def _cmd_holder(cfg: ExperimentConfig, gated: bool) -> int:
 
 
 def _pair_perturbation(cfg: ExperimentConfig, grid) -> InitialCondition:
-    kind = cfg.get_str("pair.perturbation", "bump")
-    width = cfg.get_float("pair.width", None) or grid.l / 8.0
     return InitialCondition(
-        kind=kind,
+        kind=cfg.get_str("pair.perturbation"),
         center=grid.l / 2.0,
-        width=width,
-        height=cfg.get_float("pair.height", 1.0),
-        k=cfg.get_int("pair.k", 1),
-        amplitude=cfg.get_float("pair.height", 1.0),
+        width=cfg.get_float("pair.width") or grid.l / 8.0,
+        height=cfg.get_float("pair.height"),
+        k=cfg.get_int("pair.k"),
+        amplitude=cfg.get_float("pair.height"),
     )
 
 
@@ -268,7 +260,7 @@ def _coupled_pairs(cfg: ExperimentConfig, deltas) -> list:
     """Every replica's pair for every delta, delta-major; a replica's deltas
     are legs of one batch on its one noise path."""
     grid, kspec, sspec = cfg.grid(), cfg.kernel(), cfg.sigma()
-    times = _default_snapshots(grid, cfg.get_int("holder.snap_every", 16))
+    times = _default_snapshots(grid, cfg.get_int("holder.snap_every"))
     pert = _pair_perturbation(cfg, grid)
     per_replica = _run_replicas(
         cfg, lambda streams: simulate_pairs(grid, kspec, sspec, cfg.u0(), pert, deltas, streams, times)
@@ -277,7 +269,7 @@ def _coupled_pairs(cfg: ExperimentConfig, deltas) -> list:
 
 
 def _cmd_uniqueness(cfg: ExperimentConfig, gated: bool) -> int:
-    report = uniqueness_gap(_coupled_pairs(cfg, cfg.get_floats("pair.deltas", (0.1, 0.01, 0.001))))
+    report = uniqueness_gap(_coupled_pairs(cfg, cfg.get_floats("pair.deltas")))
     out = _outdir(cfg)
     rows = []
     for d in report.deltas:
@@ -298,20 +290,20 @@ def _cmd_uniqueness(cfg: ExperimentConfig, gated: bool) -> int:
 
 def _cmd_small_value(cfg: ExperimentConfig, gated: bool) -> int:
     grid = cfg.grid()
-    pairs = _coupled_pairs(cfg, [cfg.get_float("smallvalue.delta", 0.1)])
+    pairs = _coupled_pairs(cfg, [cfg.get_float("smallvalue.delta")])
     kspec, sspec = cfg.kernel(), cfg.sigma()
-    xi = cfg.get_float("smallvalue.xi", None)
+    xi = cfg.get_float("smallvalue.xi")
     if xi is None:
         xi = default_conditioning_exponent(kspec.alpha, sspec.gamma)
-    eps_cells = cfg.get_ints("smallvalue.eps_cells", (4, 8))
-    lag_cells = cfg.get_ints("smallvalue.lags", (1, 2, 4, 8))
+    eps_cells = cfg.get_ints("smallvalue.eps_cells")
+    lag_cells = cfg.get_ints("smallvalue.lags")
     result = conditional_regularity(
         pairs,
         xi=xi,
         eps_values=[g * grid.h for g in eps_cells],
-        p=cfg.get_float("holder.p", 2.0),
+        p=cfg.get_float("holder.p"),
         lags=[g * grid.h for g in lag_cells],
-        order=cfg.get_int("holder.order", 2),
+        order=cfg.get_int("holder.order"),
     )
     out = _outdir(cfg)
     rows = []
@@ -327,7 +319,7 @@ def _cmd_small_value(cfg: ExperimentConfig, gated: bool) -> int:
         rows,
         cfg,
     )
-    gate_gap = cfg.get_float("smallvalue.gate_gap", 0.05)
+    gate_gap = cfg.get_float("smallvalue.gate_gap")
     ok = result.gaps[0] >= gate_gap
     _write_manifest(out, cfg, {"gap_at_smallest_eps": result.gaps[0]})
     print(
@@ -338,8 +330,8 @@ def _cmd_small_value(cfg: ExperimentConfig, gated: bool) -> int:
 
 
 def _cmd_yw(cfg: ExperimentConfig, gated: bool) -> int:
-    n_max = cfg.get_int("yw.n", 4)
-    rho_kind = cfg.get_str("yw.rho", "sqrt")
+    n_max = cfg.get_int("yw.n")
+    rho_kind = cfg.get_str("yw.rho")
     if rho_kind != "sqrt":
         raise ConfigError("the CLI exposes the sqrt modulus; custom tables are API-only")
     rho = RhoSpec(kind="sqrt")
@@ -376,9 +368,9 @@ def _cmd_yw(cfg: ExperimentConfig, gated: bool) -> int:
 
 
 def _cmd_oracle(cfg: ExperimentConfig, gated: bool) -> int:
-    alpha = cfg.get_float("oracle.alpha", 0.5)
-    n_cases = cfg.get_int("oracle.cases", 12)
-    rng = np.random.Generator(np.random.Philox(key=cfg.get_int("run.seed", 0xC0FFEE)))
+    alpha = cfg.get_float("oracle.alpha")
+    n_cases = cfg.get_int("oracle.cases")
+    rng = np.random.Generator(np.random.Philox(key=cfg.get_int("run.seed")))
     cases = []
     fits = []
 
@@ -413,11 +405,10 @@ def _cmd_oracle(cfg: ExperimentConfig, gated: bool) -> int:
     fits.append(["triple-time-exponent", 0.4, jest.lhs, jest.rhs, jest.tol, jest.passed])
 
     out = _outdir(cfg)
-    cases_to_csv(
-        cases,
-        out / "oracle_cases.csv",
-        stamp={"fingerprint": cfg.fingerprint(), "version": __version__},
-    )
+    _write_csv(out / "oracle_cases.csv", ["lemma", "params", "lhs", "rhs", "ratio", "pass"], [
+        [c.lemma, ";".join(f"{k}={v}" for k, v in sorted(c.params.items())), c.lhs, c.rhs, c.ratio, c.passed]
+        for c in cases
+    ], cfg)
     _write_csv(out / "oracle_fits.csv", ["name", "param", "value", "target", "tol", "pass"], fits, cfg)
     ok = all(c.passed for c in cases) and all(f[-1] for f in fits)
     _write_manifest(out, cfg, {"all_ok": ok})
@@ -435,6 +426,10 @@ _COMMANDS = {
     "yw": _cmd_yw,
     "oracle": _cmd_oracle,
 }
+
+
+# flag -> the config key it sets, after (and so over) any --set of that key
+_FLAG_KEYS = {"seed": "run.seed", "replicas": "run.replicas", "out": "run.out", "n": "yw.n", "rho": "yw.rho"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -457,17 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = list(args.set)
-    if args.seed is not None:
-        overrides.append(f"run.seed={args.seed}")
-    if args.replicas is not None:
-        overrides.append(f"run.replicas={args.replicas}")
-    if args.out is not None:
-        overrides.append(f"run.out={args.out}")
-    if getattr(args, "n", None) is not None:
-        overrides.append(f"yw.n={args.n}")
-    if getattr(args, "rho", None) is not None:
-        overrides.append(f"yw.rho={args.rho}")
+    flags = vars(args)
+    overrides = args.set + [f"{key}={flags[f]}" for f, key in _FLAG_KEYS.items() if flags.get(f) is not None]
     try:
         cfg = ExperimentConfig.load(args.config, overrides, defaults=DEFAULT_CONFIG)
         return _COMMANDS[args.command](cfg, args.gated)

@@ -6,6 +6,9 @@ a typed accessor parses them.  The fingerprint is a stable hash of the
 canonicalized text (sorted keys, normalized spacing), so key order never
 matters and every artifact can embed the fingerprint of the configuration
 that produced it.
+
+Every key and its default is stated once, in ``DEFAULT_CONFIG`` or
+``OPTIONAL_CONFIG``; a key named in neither is rejected at load time.
 """
 
 from __future__ import annotations
@@ -69,6 +72,28 @@ oracle.alpha = 0.5
 oracle.cases = 12
 """
 
+# Keys a config may set that DEFAULT_CONFIG leaves out.  Their defaults are
+# read from here but never merged into a config's values, so a key enters
+# the fingerprint and the manifest only once a config sets it.
+OPTIONAL_CONFIG = """
+sim.snapshots = auto
+sim.clip = false
+sigma.table_u = auto
+sigma.table_v = auto
+sigma.growth_c = auto
+u0.k = 1
+u0.amplitude = 1.0
+u0.offset = 0.0
+u0.center = 0.0
+u0.width = 0.1
+u0.height = 1.0
+u0.path = auto
+pair.k = 1
+holder.gate_space = auto
+holder.gate_time = auto
+smallvalue.gate_gap = 0.05
+"""
+
 
 def parse_config_text(text: str) -> dict:
     """Parse ``section.key = value`` lines into a flat {dotted-key: string} map."""
@@ -88,6 +113,8 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+_OPTIONAL = parse_config_text(OPTIONAL_CONFIG)
+
 # where results are written has no bearing on what was computed
 _NON_SEMANTIC_KEYS = frozenset({"run.out"})
 
@@ -103,20 +130,26 @@ def fingerprint(mapping: dict) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """Typed access over the flat key/value map, with override support."""
+    """Typed access over the flat key/value map, with override support.
+
+    An unset, empty or ``auto`` key reads from ``values`` (what the fingerprint
+    hashes), then the ``defaults`` it was loaded with, then ``OPTIONAL_CONFIG``;
+    ``auto`` in all three reads as ``None``, ``()`` or ``False``."""
 
     values: dict = field(default_factory=dict)
+    defaults: dict = field(default_factory=lambda: parse_config_text(DEFAULT_CONFIG))
 
     @classmethod
     def load(cls, path: str | None = None, overrides=(), defaults: str = DEFAULT_CONFIG):
-        values = parse_config_text(defaults)
+        base = parse_config_text(defaults)
+        given = {}
         if path is not None:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     text = fh.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
-            values.update(parse_config_text(text))
+            given.update(parse_config_text(text))
         for item in overrides:
             if "=" not in item:
                 raise ConfigError(f"override {item!r} must look like section.key=value")
@@ -124,29 +157,33 @@ class ExperimentConfig:
             key = key.strip()
             if "." not in key:
                 raise ConfigError(f"override key {key!r} must look like section.key")
-            values[key] = value.strip()
-        return cls(values=values)
+            given[key] = value.strip()
+        unknown = sorted(given.keys() - base.keys() - _OPTIONAL.keys())
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        return cls(values={**base, **given}, defaults=base)
 
     # -- typed accessors -----------------------------------------------------
-    def _parse(self, key, caster, default):
-        val = self.values.get(key)
-        if val is None or val == "" or val.lower() == "auto":
-            return default
+    def _parse(self, key, caster, unset=None):
+        val = next((src[key] for src in (self.values, self.defaults, _OPTIONAL)
+                    if src.get(key, "").lower() not in ("", "auto")), None)
+        if val is None:
+            return unset
         try:
             return caster(val)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {val!r}") from exc
 
-    def get_str(self, key: str, default: str | None = None):
-        return self._parse(key, str, default)
+    def get_str(self, key: str):
+        return self._parse(key, str)
 
-    def get_int(self, key: str, default: int | None = None):
-        return self._parse(key, lambda s: int(s, 0), default)
+    def get_int(self, key: str):
+        return self._parse(key, lambda s: int(s, 0))
 
-    def get_float(self, key: str, default: float | None = None):
-        return self._parse(key, float, default)
+    def get_float(self, key: str):
+        return self._parse(key, float)
 
-    def get_bool(self, key: str, default: bool = False):
+    def get_bool(self, key: str):
         def cast(s):
             s = s.lower()
             if s in ("1", "true", "yes", "on"):
@@ -155,72 +192,63 @@ class ExperimentConfig:
                 return False
             raise ValueError(s)
 
-        return self._parse(key, cast, default)
+        return self._parse(key, cast, False)
 
-    def get_floats(self, key: str, default=()):
-        def cast(s):
-            return tuple(float(part) for part in s.split(",") if part.strip())
+    def get_floats(self, key: str):
+        return self._parse(key, lambda s: tuple(float(part) for part in s.split(",") if part.strip()), ())
 
-        return self._parse(key, cast, tuple(default))
-
-    def get_ints(self, key: str, default=()):
-        def cast(s):
-            return tuple(int(part, 0) for part in s.split(",") if part.strip())
-
-        return self._parse(key, cast, tuple(default))
+    def get_ints(self, key: str):
+        return self._parse(key, lambda s: tuple(int(part, 0) for part in s.split(",") if part.strip()), ())
 
     # -- domain objects ------------------------------------------------------
     def grid(self) -> GridSpec:
-        n = self.get_int("grid.n", 512)
-        l = self.get_float("grid.l", 1.0)
+        n = self.get_int("grid.n")
+        l = self.get_float("grid.l")
         h = l / n
         return GridSpec(
-            dim=self.get_int("grid.dim", 1),
+            dim=self.get_int("grid.dim"),
             n=n,
             l=l,
-            dt=self.get_float("grid.dt", None),
-            t_end=self.get_float("grid.t_end", None) or 2000.0 * h * h,
-            t_min=self.get_float("grid.t_min", None),
+            dt=self.get_float("grid.dt"),
+            t_end=self.get_float("grid.t_end") or 2000.0 * h * h,
+            t_min=self.get_float("grid.t_min"),
         )
 
     def kernel(self) -> KernelSpec:
         return KernelSpec(
-            kind=self.get_str("kernel.kind", "riesz"),
-            alpha=self.get_float("kernel.alpha", 0.5),
-            amplitude=self.get_float("kernel.amplitude", 1.0),
-            dim=self.get_int("grid.dim", 1),
+            kind=self.get_str("kernel.kind"),
+            alpha=self.get_float("kernel.alpha"),
+            amplitude=self.get_float("kernel.amplitude"),
+            dim=self.get_int("grid.dim"),
         )
 
     def sigma(self) -> SigmaSpec:
-        kw = {}
-        table_u = self.get_floats("sigma.table_u", ())
-        table_v = self.get_floats("sigma.table_v", ())
-        if table_u:
-            kw["table_u"] = table_u
-            kw["table_v"] = table_v
+        table_u = self.get_floats("sigma.table_u")
         return SigmaSpec(
-            kind=self.get_str("sigma.kind", "lipschitz-linear"),
-            scale=self.get_float("sigma.scale", 1.0),
-            gamma=self.get_float("sigma.gamma", None),
-            growth_c=self.get_float("sigma.growth_c", None),
-            **kw,
+            kind=self.get_str("sigma.kind"),
+            scale=self.get_float("sigma.scale"),
+            gamma=self.get_float("sigma.gamma"),
+            growth_c=self.get_float("sigma.growth_c"),
+            table_u=table_u,
+            table_v=self.get_floats("sigma.table_v") if table_u else (),
         )
 
     def u0(self) -> InitialCondition:
         return InitialCondition(
-            kind=self.get_str("u0.kind", "constant"),
-            value=self.get_float("u0.value", 1.0),
-            k=self.get_int("u0.k", 1),
-            amplitude=self.get_float("u0.amplitude", 1.0),
-            offset=self.get_float("u0.offset", 0.0),
-            center=self.get_float("u0.center", 0.0),
-            width=self.get_float("u0.width", 0.1),
-            height=self.get_float("u0.height", 1.0),
-            path=self.get_str("u0.path", ""),
+            kind=self.get_str("u0.kind"),
+            value=self.get_float("u0.value"),
+            k=self.get_int("u0.k"),
+            amplitude=self.get_float("u0.amplitude"),
+            offset=self.get_float("u0.offset"),
+            center=self.get_float("u0.center"),
+            width=self.get_float("u0.width"),
+            height=self.get_float("u0.height"),
+            # repr(u0) enters trajectory fingerprints, which hash an unset path as ''
+            path=self.get_str("u0.path") or "",
         )
 
     def stream(self, replica_id: int = 0) -> RngStream:
-        return RngStream(master_seed=self.get_int("run.seed", 0xC0FFEE), replica_id=replica_id)
+        return RngStream(master_seed=self.get_int("run.seed"), replica_id=replica_id)
 
     def fingerprint(self) -> str:
         return fingerprint(self.values)

@@ -4,12 +4,14 @@ A noise increment over a time step ``dt`` is a real Gaussian field on a
 periodic grid whose spatial covariance at separation ``r`` is
 ``dt * k(r)`` for the configured correlation kernel ``k``.  Fields are built
 spectrally: each DFT mode ``k`` receives an independent Gaussian coefficient
-with standard deviation ``sigma_k``, where ``sigma_k^2`` is the *exact
+with standard deviation ``sigma_k``.  In 1-D ``sigma_k^2`` is the *exact
 integral* of the kernel's spectral density over the frequency cell
-``[k/l - 1/(2l), k/l + 1/(2l)]``.  Cell integration (rather than a midpoint
-density value) matters: the zero-frequency cell carries a finite fraction of
-the spectral mass of a Riesz kernel, and dropping it biases the covariance at
-separations approaching the domain scale by far more than the 10% contract.
+``[k/l - 1/(2l), k/l + 1/(2l)]``.  In 2-D only the zero cell is integrated
+(over the disc of equal area); every nonzero mode takes the density at the
+cell midpoint times the cell area.  Integrating the zero cell matters: it
+carries a finite fraction of the spectral mass of a Riesz kernel, and
+dropping it biases the covariance at separations approaching the domain
+scale by far more than the 10% contract.
 
 The resolvable band ends at the Nyquist frequency ``n/(2l)``; truncating
 there mollifies the ``r -> 0`` singularity of the kernel at the grid scale
@@ -131,9 +133,6 @@ class RngStream:
 
     def at_step(self, step_index: int) -> "RngStream":
         return replace(self, step_index=step_index)
-
-    def for_replica(self, replica_id: int) -> "RngStream":
-        return replace(self, replica_id=replica_id)
 
 
 @dataclass(eq=False)

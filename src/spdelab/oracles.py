@@ -25,7 +25,6 @@ frozen below, and are never refit at test time.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 
@@ -469,19 +468,3 @@ def verify_factorization(a: float, t: float, s: float) -> float:
     val, _ = quad(lambda r: 1.0, s, t, weight="alg", wvar=(-a, a - 1.0))
     return float(abs(val - np.pi / np.sin(np.pi * a)))
 
-
-def cases_to_csv(cases, path, stamp: dict | None = None) -> None:
-    """Emit oracle cases as CSV (lemma, params, lhs, rhs, ratio, pass).
-
-    ``stamp`` appends constant provenance columns (e.g. config fingerprint).
-    """
-    extra_keys = sorted(stamp) if stamp else []
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lemma", "params", "lhs", "rhs", "ratio", "pass"] + extra_keys)
-        for case in cases:
-            params = ";".join(f"{k}={v}" for k, v in sorted(case.params.items()))
-            writer.writerow(
-                [case.lemma, params, repr(case.lhs), repr(case.rhs), repr(case.ratio), case.passed]
-                + [stamp[k] for k in extra_keys]
-            )

@@ -192,7 +192,6 @@ class YWFamily:
     a_n: float
     ramp: float
     # internals filled by build_family
-    _mass_scale: float = 1.0
     _plateau_mean: float = 1.0
     _bump_cdf: object = None
     _mass_of_x: object = None
@@ -315,7 +314,6 @@ def build_family(n: int, rho: RhoSpec, grid_points: int = 8193) -> YWFamily:
         a_prev=a_prev,
         a_n=a_n,
         ramp=ramp,
-        _mass_scale=n,
         _plateau_mean=mean,
         _bump_cdf=bump_cdf,
         _mass_of_x=mass_of_x,

@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdelab.config import DEFAULT_CONFIG, ExperimentConfig, fingerprint, parse_config_text
+from spdelab.config import (
+    DEFAULT_CONFIG,
+    OPTIONAL_CONFIG,
+    ExperimentConfig,
+    fingerprint,
+    parse_config_text,
+)
 from spdelab.errors import ConfigError
 from spdelab.cli import main
 from spdelab.solver import config_fingerprint
@@ -35,6 +41,14 @@ CHUNK_ARGS = {
         "--set", "holder.lags=2,4,8,16", "--set", "holder.tsteps=4,8,16,32",
     ],
 }
+
+
+# every registered key whose stated default is a concrete value
+CONCRETE_KEYS = sorted(
+    key
+    for key, value in {**parse_config_text(OPTIONAL_CONFIG), **parse_config_text(DEFAULT_CONFIG)}.items()
+    if value and value != "auto"
+)
 
 
 def run_cli(args, env_extra=None):
@@ -84,7 +98,7 @@ class TestConfig:
 
     def test_auto_maps_to_default(self):
         cfg = ExperimentConfig.load(None, ["grid.dt=auto"], defaults=DEFAULT_CONFIG)
-        assert cfg.get_float("grid.dt", None) is None
+        assert cfg.get_float("grid.dt") is None
 
     def test_auto_u0_value_is_the_documented_default(self):
         unset = ExperimentConfig.load(None, [], defaults=DEFAULT_CONFIG).u0()
@@ -108,6 +122,31 @@ class TestConfig:
             with open(out / "smallvalue.csv", newline="") as fh:
                 tables.append([[row[c] for c in columns] for row in csv.DictReader(fh)])
         assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("key", CONCRETE_KEYS)
+    def test_auto_reads_the_stated_default(self, key):
+        unset = ExperimentConfig.load(None, [], defaults=DEFAULT_CONFIG)
+        auto = ExperimentConfig.load(None, [f"{key}=auto"], defaults=DEFAULT_CONFIG)
+        assert auto.get_str(key) == unset.get_str(key) is not None
+        for build in ("grid", "kernel", "sigma", "u0"):
+            assert getattr(auto, build)() == getattr(unset, build)()
+        assert auto.stream(0) == unset.stream(0)
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        assert main(["regime", "--set", "kernel.alpah=0.9", "--out", str(tmp_path / "o")]) == 2
+        assert "kernel.alpah" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        conf = tmp_path / "exp.cfg"
+        conf.write_text("grid.n = 64\nsigma.gama = 0.5\n")
+        with pytest.raises(ConfigError, match="sigma.gama"):
+            ExperimentConfig.load(str(conf), [], defaults=DEFAULT_CONFIG)
+
+    def test_optional_keys_stay_out_of_the_fingerprint(self):
+        cfg = ExperimentConfig.load(None, [], defaults=DEFAULT_CONFIG)
+        assert cfg.values == parse_config_text(DEFAULT_CONFIG)
+        assert cfg.get_int("u0.k") == 1 and cfg.get_float("smallvalue.gate_gap") == 0.05
+        assert cfg.get_floats("holder.gate_space") == () and cfg.get_bool("sim.clip") is False
+        assert cfg.get_str("u0.path") is None
 
     def test_bad_override_rejected(self):
         with pytest.raises(ConfigError):
@@ -249,6 +288,17 @@ class TestArtifacts:
 
         f = read_field(bins[1])
         assert f.values.shape == (128,)
+
+    def test_oracle_cases_csv(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["oracle", "--set", "oracle.cases=0", "--out", str(out)]) == 0
+        n_cases = int(capsys.readouterr().out.split()[1])
+        text = (out / "oracle_cases.csv").read_text()
+        lines = text.splitlines()
+        assert lines[0] == "lemma,params,lhs,rhs,ratio,pass,fingerprint,version"
+        assert len(lines) == 1 + n_cases
+        assert "\r" not in text
+        assert "gaussian-riesz-convolution" in lines[1]
 
     def test_yw_table(self, tmp_path):
         out = tmp_path / "o"
@@ -441,4 +491,13 @@ class TestGoldenBytes:
         assert digests == {
             1: "659c34d82a19e7efb08ac00cb5047c86ae6bc538ef8149793fff9e8d7515ea30",
             2: "ec4a42be19b888f704b72654985e293a9200918166b172b9f87aad543b27bfa5",
+        }
+
+    def test_oracle_artifacts_unchanged(self, tmp_path):
+        """Recorded before ``oracle_cases.csv`` was written by the CLI's one CSV writer."""
+        out = tmp_path / "o"
+        assert main(["oracle", "--set", "oracle.cases=3", "--seed", "5", "--out", str(out)]) == 0
+        assert sha256_of(out, "oracle_cases.csv", "oracle_fits.csv") == {
+            "oracle_cases.csv": "2fefcbc8c65f0d1a44bd9f0cef3455d959835a91da5aa7958c7be0993119c235",
+            "oracle_fits.csv": "775b2b7e6065222d0d319b993c223c20cd8b74acf27466e78daacb9c1b0f7b4b",
         }

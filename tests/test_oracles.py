@@ -7,7 +7,6 @@ from spdelab.errors import DomainError, OracleError
 from spdelab.kernels import negative_moment_constant
 from spdelab.oracles import (
     FROZEN_CONSTANTS,
-    cases_to_csv,
     fit_offset_exponent,
     gaussian_riesz_moment,
     heat_difference_l1,
@@ -185,19 +184,6 @@ class TestTripleTimeIntegral:
     def test_scaling_values_decrease_with_t(self):
         qs = [triple_time_integral(t, 0.4, 0.0, 0.0, 0.5) for t in (0.25, 0.125)]
         assert qs[0] > qs[1] > 0
-
-
-class TestCsvEmission:
-    def test_cases_csv(self, tmp_path):
-        cases = [verify_correst(0.5, 0.5, 0.0, 0.0, 0.5)]
-        path = tmp_path / "oracle.csv"
-        cases_to_csv(cases, path, stamp={"fingerprint": "abc", "version": "0.1.0"})
-        text = path.read_text()
-        lines = text.splitlines()
-        assert lines[0] == "lemma,params,lhs,rhs,ratio,pass,fingerprint,version"
-        assert len(lines) == 2
-        assert "\r" not in text
-        assert "gaussian-riesz-convolution" in lines[1]
 
 
 class TestOracleErrorPaths:
