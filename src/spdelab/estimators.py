@@ -13,11 +13,15 @@ flatten the measured slope.  First differences remain the default and the
 contractual meaning of :func:`structure_function`.
 
 Every estimator here shares one structure-function path: one increment
-helper, one spatial-lag check and one window, selected from a trajectory's
-``times`` as a slice of its ``values`` rows (a view, never a copy).  Time
-lags must lie on the grid's ``dt`` lattice; snapshots are matched by their
-recorded ``steps``, each to the one exactly the lag's number of steps later.
-A :class:`HolderReport` keeps the MomentRows it fitted in ``rows``.
+helper and one window, selected from a trajectory's ``times`` as a slice of
+its ``values`` rows (a view, never a copy).  The one lattice check is the
+grid's: :meth:`GridSpec.cells` turns a spatial lag or a conditioning scale
+``eps`` into whole cells (to 1e-9 of a cell, in ``[1, n/2]``), and
+:meth:`GridSpec.steps` turns a time lag into whole ``dt`` steps (to 1e-6 of
+a step, at least one); anything else is an InputError.  Snapshots are
+matched by their recorded ``steps``, each to the one exactly the lag's number
+of steps later.  A :class:`HolderReport` keeps the MomentRows it fitted in
+``rows``.
 
 Small-value conditioning restricts the anchors of the structure function to
 space-time points where the difference field of a coupled pair is below
@@ -35,7 +39,7 @@ import numpy as np
 from scipy.ndimage import minimum_filter1d
 
 from .errors import DomainError, InputError, InsufficientDataError
-from .solver import SolutionPair, Trajectory, _step_of
+from .solver import SolutionPair, Trajectory
 
 _WINDOW_TOL = 1e-9
 
@@ -97,24 +101,6 @@ def _window_slice(times, window) -> slice:
     return slice(bisect_left(times, t0 - tol), bisect_right(times, t1 + tol))
 
 
-def _lag_cells(grid, lag) -> int:
-    """A spatial lag as a whole number of cells in ``[1, n/2]``; longer lags
-    would alias through the periodic wrap."""
-    g = lag / grid.h
-    gi = int(round(g))
-    if abs(g - gi) > 1e-9 or gi < 1 or gi > grid.n // 2:
-        raise InputError(f"spatial lag {lag} not resolvable on the grid")
-    return gi
-
-
-def _lag_steps(grid, lag) -> int:
-    """A time lag as a whole, positive number of steps of the ``dt`` lattice."""
-    m = _step_of(grid.dt, lag)
-    if m < 1:
-        raise DomainError(f"time lag {lag} is not a positive multiple of dt={grid.dt}")
-    return m
-
-
 def _increment_power(values, p, order=1, cells=0, later=None, wrap=True) -> np.ndarray:
     """``|increment|^p`` at every anchor: ``later - values`` for a time lag,
     else the order-1 or order-2 difference at ``cells`` along axis 0, without
@@ -172,14 +158,14 @@ def structure_function(
         per_traj = []
         n_anchors = 0
         if direction == "space":
-            cells = _lag_cells(grid, lag)
+            cells = grid.cells(lag)
             for arr in snaps:
                 if len(arr):
                     moments = [np.mean(_increment_power(row, p, order, cells, wrap=wrap)) for row in arr]
                     per_traj.append(np.mean(moments))
                     n_anchors += len(arr) * grid.n_cells
         else:
-            m = _lag_steps(grid, lag)
+            m = grid.steps(lag, lo=1)
             for at_step in by_step:
                 vals = [
                     np.mean(_increment_power(row, p, later=at_step[k + m]))
@@ -363,7 +349,8 @@ def conditional_regularity(
 
     ``pair`` is one SolutionPair or a sequence of replica pairs sharing grid
     and delta.  For each ``eps`` the anchor set keeps the points (t, x) where
-    ``|diff(t, xhat)| <= eps^xi`` for some ``|xhat - x| <= eps``; the
+    ``|diff(t, xhat)| <= eps^xi`` for some ``|xhat - x| <= eps``, and
+    ``eps`` must be a whole number of cells (``GridSpec.cells``); the
     conditional exponent is compared against the unconditional one on the
     same lags.  Fails loudly when the conditioning set is too small or the
     difference field is degenerate.
@@ -381,7 +368,7 @@ def conditional_regularity(
     if lags is None:
         lags = [grid.h * g for g in (1, 2, 4, 8)]
     lags = _require_octaves(lags)
-    cells = [_lag_cells(grid, lag) for lag in lags]
+    cells = [grid.cells(lag) for lag in lags]
     window = _window_of(grid, window)
 
     snaps = [row for pr in pairs for row in pr.diffs[_window_slice(pr.times, window)]]
@@ -416,9 +403,7 @@ def conditional_regularity(
     gaps = []
     occupancy = {}
     for eps in eps_values:
-        w = int(round(eps / grid.h))
-        if w < 1:
-            raise DomainError(f"eps {eps} below the grid resolution")
+        w = grid.cells(eps)
         thresh = float(eps) ** xi
         masks = []
         occupied = 0

@@ -104,6 +104,23 @@ class GridSpec:
     def axis_coords(self) -> np.ndarray:
         return np.arange(self.n) * self.h
 
+    def cells(self, length, lo: int = 1) -> int:
+        """``length`` as a whole number of cells (to 1e-9 of a cell) in
+        ``[lo, n/2]``; longer lengths would alias through the periodic wrap."""
+        g = length / self.h
+        gi = int(round(g))
+        if abs(g - gi) > 1e-9 or gi < lo or gi > self.n // 2:
+            raise InputError(f"length {length} is not a whole number of cells in [{lo}, {self.n // 2}]")
+        return gi
+
+    def steps(self, t, lo: int = 0) -> int:
+        """``t`` as a whole number of ``dt`` steps (to 1e-6 of a step), at least ``lo``."""
+        m = t / self.dt
+        mi = int(round(m))
+        if abs(m - mi) > 1e-6 or mi < lo:
+            raise InputError(f"time {t} is not a whole number of steps >= {lo} (dt={self.dt})")
+        return mi
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -272,20 +289,6 @@ class CovarianceRow:
     theory: float
 
 
-def _lag_offsets(grid: GridSpec, kspec: KernelSpec, lags) -> list[int]:
-    """Grid offsets of ``lags``; Riesz kernels reject lag 0 (singular there)."""
-    offsets = []
-    for lag in lags:
-        g = lag / grid.h
-        gi = int(round(g))
-        if abs(g - gi) > 1e-9 or gi < 0 or gi > grid.n // 2:
-            raise InputError(f"lag {lag} is not a resolvable grid separation")
-        if gi == 0 and kspec.is_singular:
-            raise SingularKernelError("lag 0 excluded: riesz kernel is singular at separation 0")
-        offsets.append(gi)
-    return offsets
-
-
 def _theory_cov(kspec: KernelSpec, grid: GridSpec, dt: float, lag: float) -> float:
     if kspec.kind == "white":
         return dt * kspec.amplitude / grid.h**grid.dim if lag == 0 else 0.0
@@ -320,7 +323,9 @@ def covariance_check(
         raise DomainError("steps_per_replica must be >= 1")
     if replicas < 2:
         raise InsufficientDataError(f"need >= 2 replicas, got {replicas}", n_samples=replicas)
-    offsets = _lag_offsets(grid, kspec, lags)
+    offsets = [grid.cells(lag, lo=0) for lag in lags]
+    if 0 in offsets and kspec.is_singular:
+        raise SingularKernelError("lag 0 excluded: riesz kernel is singular at separation 0")
     amps = spectral_amplitudes(grid, kspec) * np.sqrt(dt)
     n, nh = grid.n, grid.n // 2 + 1
     per_replica = np.empty((replicas, len(offsets)))
@@ -363,14 +368,17 @@ def read_field(path) -> NoiseField:
     The header does not carry the kernel amplitude; the reconstructed
     KernelSpec uses amplitude 1.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise InputError("truncated field header")
-        magic, dim, n, l, dt, kind_code, alpha, seed, replica, step = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise InputError("bad magic; not a field dump")
-        payload = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read(_HEADER.size)
+            payload = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read field dump: {exc}") from exc
+    if len(raw) != _HEADER.size:
+        raise InputError("truncated field header")
+    magic, dim, n, l, dt, kind_code, alpha, seed, replica, step = _HEADER.unpack(raw)
+    if magic != _MAGIC:
+        raise InputError("bad magic; not a field dump")
     shape = (n,) * dim
     expected = 8 * n**dim
     if len(payload) != expected:

@@ -445,7 +445,7 @@ def verify_jest(
     target = b + 1.0 - alpha / 2.0 - 2.0 * c
     return OracleCase(
         lemma="triple-time-integral-scaling",
-        params={"a": a, "b": b, "c": c, "alpha": alpha, "t_values": tuple(t_values)},
+        params={"a": a, "b": b, "c": c, "alpha": alpha, "t_values": tuple(t_values.tolist())},
         lhs=float(slope),
         rhs=float(target),
         ratio=float(slope / target) if target != 0 else np.inf,

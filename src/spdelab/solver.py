@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -161,6 +160,8 @@ class InitialCondition:
             raise DomainError(f"unknown initial condition kind {self.kind!r}")
         if self.kind == "bump" and not self.width > 0:
             raise DomainError("bump width must be > 0")
+        if self.kind == "file" and not self.path:
+            raise DomainError("file initial condition needs a path")
 
     def evaluate(self, grid: GridSpec) -> np.ndarray:
         x = grid.axis_coords()
@@ -201,53 +202,6 @@ class Trajectory:
     complete: bool = True
 
 
-@lru_cache(maxsize=64)
-def _heat_multiplier_half(grid: GridSpec, dt: float) -> np.ndarray:
-    """Semigroup multiplier on the rfft frequency layout (cached; read-only)."""
-    xi_half = np.fft.rfftfreq(grid.n, d=grid.h)
-    if grid.dim == 1:
-        mult = semigroup_multiplier(xi_half, dt)
-    else:
-        xi_full = np.fft.fftfreq(grid.n, d=grid.h)
-        sq = xi_full[:, None] ** 2 + xi_half[None, :] ** 2
-        mult = np.exp(-2.0 * np.pi**2 * sq * dt)
-    mult.flags.writeable = False
-    return mult
-
-
-class _Stepper:
-    """Precomputed spectral machinery for one (grid, kernel, sigma, dt) combo.
-
-    The mode standard deviations are validated once, here; each step then
-    draws and inverts its spectra with them, unscaled, as ``synthesize`` does.
-    """
-
-    def __init__(self, grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, dt: float):
-        self.grid = grid
-        self.sspec = sspec
-        self.multiplier = _heat_multiplier_half(grid, dt)
-        self.mode_std = _amplitudes_cached(grid, kspec) * np.sqrt(dt)
-        if not np.all(np.isfinite(self.mode_std)) or np.any(self.mode_std < 0):
-            raise SpectralError("mode standard deviations must be finite and >= 0")
-
-    def sample_dw(self, streams) -> np.ndarray:
-        """One increment per stream, stacked; row ``r`` is bitwise ``synthesize`` of ``streams[r]``."""
-        return _fields(self.grid, np.stack(
-            [_draw_spectrum(self.grid, self.mode_std, s.generator()) for s in streams]
-        ))
-
-    def heat(self, values: np.ndarray) -> np.ndarray:
-        if self.grid.dim == 1:
-            return np.fft.irfft(np.fft.rfft(values) * self.multiplier, self.grid.n)
-        return np.fft.irfft2(np.fft.rfft2(values) * self.multiplier, self.grid.shape)
-
-    def step(self, values: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        # overflowing states produce inf/nan here; the caller turns that into
-        # a blow-up error with the offending step index
-        with np.errstate(invalid="ignore", over="ignore"):
-            return self.heat(values + sigma_eval(self.sspec, values) * dw)
-
-
 def _fingerprint(parts: dict) -> str:
     text = "\n".join(f"{k} = {parts[k]}" for k in sorted(parts))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -271,27 +225,13 @@ def config_fingerprint(
     )
 
 
-def _step_of(dt: float, t: float) -> int:
-    """The step index of time ``t`` on the ``dt`` lattice; off the lattice or
-    negative is a DomainError."""
-    m = t / dt
-    mi = int(round(m))
-    if abs(m - mi) > 1e-6 or mi < 0:
-        raise DomainError(f"time {t} is not on the step lattice (dt={dt})")
-    return mi
-
-
-def _snapshot_steps(dt: float, snapshot_times) -> dict[int, float]:
+def _snapshot_steps(grid: GridSpec, snapshot_times) -> dict[int, float]:
     """Map requested snapshot times onto step indices; times keep their requested values."""
-    want: dict[int, float] = {}
-    prev = -1
-    for t in snapshot_times:
-        mi = _step_of(dt, t)
-        if mi <= prev:
-            raise DomainError("snapshot times must be strictly increasing")
-        want[mi] = float(t)
-        prev = mi
-    return want
+    times = [float(t) for t in snapshot_times]
+    steps = [grid.steps(t) for t in times]
+    if any(b <= a for a, b in zip(steps, steps[1:])):
+        raise DomainError("snapshot times must be strictly increasing")
+    return dict(zip(steps, times))
 
 
 def _integrate(
@@ -312,16 +252,28 @@ def _integrate(
     with the integer step of each row.
 
     Step ``m`` draws replica ``r``'s ``dW`` from ``streams[r].at_step(m - 1)``
-    and broadcasts it over that replica's legs.  The FFTs transform each
-    (replica, leg) row independently, so every row is bitwise the run it would
-    be on its own.  A blow-up stops the batch at the first step where any
-    replica is non-finite; the BlowUpError names that step, the lowest
-    replica id at it and that replica's config fingerprint, and carries its
-    ``partial_trajectories`` (``complete=False``): the rows recorded so far.
+    (row ``r`` of the stacked draws is bitwise ``synthesize`` of that stream)
+    and broadcasts it over that replica's legs; the step is then
+    ``u + sigma(u) dW`` followed by the heat semigroup's FFT pair.  The mode
+    standard deviations are validated once, before the loop.  The FFTs
+    transform each (replica, leg) row independently, so every row is bitwise
+    the run it would be on its own.  A blow-up stops the batch at the first
+    step where any replica is non-finite; the BlowUpError names that step, the
+    lowest replica id at it and that replica's config fingerprint, and carries
+    its ``partial_trajectories`` (``complete=False``): the rows recorded so far.
     """
     dt = grid.dt
-    want = _snapshot_steps(dt, snapshot_times)
-    stepper = _Stepper(grid, kspec, sspec, dt)
+    want = _snapshot_steps(grid, snapshot_times)
+    mode_std = _amplitudes_cached(grid, kspec) * np.sqrt(dt)
+    if not np.all(np.isfinite(mode_std)) or np.any(mode_std < 0):
+        raise SpectralError("mode standard deviations must be finite and >= 0")
+    xi = np.fft.rfftfreq(grid.n, d=grid.h)
+    if grid.dim == 1:
+        rfft, irfft, size = np.fft.rfft, np.fft.irfft, grid.n
+    else:
+        rfft, irfft, size = np.fft.rfft2, np.fft.irfft2, grid.shape
+        xi = np.stack(np.meshgrid(np.fft.fftfreq(grid.n, d=grid.h), xi, indexing="ij"), axis=-1)
+    multiplier = semigroup_multiplier(xi, dt, grid.dim)
     u = np.array(legs0, dtype=float)
     shape = u.shape[:2]
     grid_axes = tuple(range(2, u.ndim))
@@ -346,8 +298,12 @@ def _integrate(
     last = steps[-1] if steps else 0
     for m in range(last + 1):
         if m > 0:
-            dw = stepper.sample_dw([s.at_step(m - 1) for s in streams])
-            u = stepper.step(u, dw[:, None])
+            spectra = [_draw_spectrum(grid, mode_std, s.at_step(m - 1).generator()) for s in streams]
+            dw = _fields(grid, np.stack(spectra))[:, None]
+            # overflowing states produce inf/nan here, turned into a blow-up
+            # error with the offending step index just below
+            with np.errstate(invalid="ignore", over="ignore"):
+                u = irfft(rfft(u + sigma_eval(sspec, u) * dw) * multiplier, size)
             finite = np.isfinite(u)
             if not np.all(finite):
                 r = int(np.argmin(finite.reshape(shape[0], -1).all(axis=1)))

@@ -312,6 +312,13 @@ class TestConditionalRegularity:
                 lags=[c * grid.h for c in (1, 2, 4, grid.n // 2 + 1)],
             )
 
+    @pytest.mark.parametrize("eps_cells", [4.4, 3.6, 0.5, 129])
+    def test_eps_off_the_cell_lattice_rejected(self, eps_cells):
+        # 4.4 or 3.6 cells would run a 4-cell window under an unrounded threshold
+        grid, pairs = _noisy_pair(delta=0.1)
+        with pytest.raises(InputError):
+            conditional_regularity(pairs, xi=0.875, eps_values=[eps_cells * grid.h])
+
     def test_occupancy_reported(self):
         grid, pairs = _noisy_pair(delta=0.1, replicas=2)
         res = conditional_regularity(

@@ -70,6 +70,55 @@ class TestGridSpec:
             GridSpec(dim=3, n=64, l=1.0, t_end=1.0)
 
 
+class TestGridLattice:
+    """``cells``/``steps``: the one check that a length is whole cells and a time whole steps."""
+
+    @pytest.mark.parametrize("cells, lo, expected", [
+        (4, 1, 4),
+        (4 + 5e-10, 1, 4),  # inside 1e-9 of a cell
+        (32, 1, 32),  # n/2
+        (0, 0, 0),
+    ])
+    def test_cells_accepted(self, cells, lo, expected):
+        g = grid1d(n=64, l=2.5)
+        assert g.cells(cells * g.h, lo=lo) == expected
+
+    @pytest.mark.parametrize("cells, lo", [
+        (4.4, 1),
+        (3.6, 1),
+        (4 + 5e-9, 1),  # outside 1e-9 of a cell
+        (0, 1),
+        (33, 1),  # n/2 + 1 would alias through the periodic wrap
+        (33, 0),
+        (-1, 0),
+    ])
+    def test_cells_rejected(self, cells, lo):
+        g = grid1d(n=64, l=2.5)
+        with pytest.raises(InputError):
+            g.cells(cells * g.h, lo=lo)
+
+    @pytest.mark.parametrize("steps, lo, expected", [
+        (16, 0, 16),
+        (16 + 5e-7, 0, 16),  # inside 1e-6 of a step
+        (16, 1, 16),
+        (0, 0, 0),
+    ])
+    def test_steps_accepted(self, steps, lo, expected):
+        g = grid1d(n=64, dt=0.003)
+        assert g.steps(steps * g.dt, lo=lo) == expected
+
+    @pytest.mark.parametrize("steps, lo", [
+        (16.5, 0),
+        (16 + 5e-6, 0),  # outside 1e-6 of a step
+        (-1, 0),
+        (0, 1),
+    ])
+    def test_steps_rejected(self, steps, lo):
+        g = grid1d(n=64, dt=0.003)
+        with pytest.raises(InputError):
+            g.steps(steps * g.dt, lo=lo)
+
+
 class TestRngStream:
     def test_same_triple_bit_identical(self):
         g = grid1d()
@@ -396,6 +445,11 @@ class TestFieldDump:
         p2.write_bytes(b"SPDENZ1")
         with pytest.raises(InputError):
             read_field(p2)
+
+    def test_unreadable_path_is_input_error(self, tmp_path):
+        for path in (tmp_path / "missing.bin", tmp_path):
+            with pytest.raises(InputError):
+                read_field(path)
 
     def test_2d_round_trip(self, tmp_path):
         g = GridSpec(dim=2, n=32, l=1.0, t_end=1.0)

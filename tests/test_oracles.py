@@ -168,6 +168,11 @@ class TestTripleTimeIntegral:
         assert case.passed
         assert all(np.isfinite(q) and q > 0 for q in case.extra["q_values"])
 
+    def test_t_values_are_python_floats(self):
+        # numpy scalars would write a numpy-version-dependent repr into oracle_cases.csv
+        case = verify_jest(np.array([2.0**-k for k in range(2, 8)]), a=0.4, b=0.0, c=0.0, alpha=0.5)
+        assert all(type(t) is float for t in case.params["t_values"])
+
     def test_nonzero_b(self):
         case = verify_jest([2.0**-k for k in range(2, 8)], a=0.4, b=0.5, c=0.1, alpha=0.5)
         assert case.passed
