@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
-"""One-time calibration of the oracle envelope constants.
+"""One-time calibration of the oracle envelope constant.
 
-Sweeps each estimate's parameter space, records the max ratio of the
-quadrature lhs to the *shape* part of its bound, and prints a constant with
-~25% headroom.  The resulting values live in ``spdelab.oracles.
-FROZEN_CONSTANTS`` and are never refit at test time; rerun this script only
-to regenerate them after changing the quadrature internals.
+Sweeps the weighted L1 heat-kernel difference estimate over its parameter
+space, records the max ratio of the quadrature lhs to the *shape* part of its
+bound, and prints a constant with ~25% headroom.  The value lives in
+``spdelab.oracles.FROZEN_CONSTANTS["pdiffest"]`` and is never refit at test
+time; rerun this script only to regenerate it after changing the quadrature
+internals.
 """
 
 import numpy as np
 
-from spdelab.oracles import heat_difference_l1, space_difference_riesz, time_difference_riesz
-
-rng = np.random.Generator(np.random.Philox(key=20240501))
+from spdelab.oracles import heat_difference_l1
 
 
 def calibrate_pdiffest(n_cases=150):
     """Sweep mixed, pure-spatial (tp = t) and pure-temporal (x = y) branches
     across the beta range; the frozen constant must dominate all of them."""
+    rng = np.random.Generator(np.random.Philox(key=20240501))
     worst = 0.0
     for beta in (0.25, 0.5, 0.75, 1.0):
         for branch in ("mixed", "space", "time"):
@@ -40,35 +40,6 @@ def calibrate_pdiffest(n_cases=150):
     return worst
 
 
-def calibrate_spacecorrest(n_cases=60):
-    worst = 0.0
-    for _ in range(n_cases):
-        t = float(rng.uniform(0.05, 1.5))
-        alpha = float(rng.uniform(0.2, 0.9))
-        sep = float(rng.uniform(0.01, 1.0))
-        lhs = space_difference_riesz(t, 0.0, sep, alpha)
-        shape = (t ** (-1.0 - alpha / 2.0) + t ** (-1.0)) * sep**2
-        worst = max(worst, lhs / shape)
-    return worst
-
-
-def calibrate_timecorrest(n_cases=60):
-    worst = 0.0
-    for _ in range(n_cases):
-        t = float(rng.uniform(0.05, 1.5))
-        alpha = float(rng.uniform(0.2, 0.9))
-        dt = t * float(rng.uniform(0.01, 0.9))
-        lhs = time_difference_riesz(t, t + dt, 0.0, alpha)
-        shape = (t ** (-2.0 - alpha / 2.0) + t ** (-2.0)) * dt**2
-        worst = max(worst, lhs / shape)
-    return worst
-
-
 if __name__ == "__main__":
-    for name, fn in (
-        ("pdiffest", calibrate_pdiffest),
-        ("spacecorrest", calibrate_spacecorrest),
-        ("timecorrest", calibrate_timecorrest),
-    ):
-        worst = fn()
-        print(f"{name}: max ratio {worst:.6f} -> frozen constant {1.25 * worst:.4g}")
+    worst = calibrate_pdiffest()
+    print(f"pdiffest: max ratio {worst:.6f} -> frozen constant {1.25 * worst:.4g}")

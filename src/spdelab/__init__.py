@@ -15,7 +15,6 @@ from .kernels import (
     KernelSpec,
     RegimeVerdict,
     classify_regime,
-    dalang_condition,
     heat_kernel,
     kernel_eval,
     negative_moment_constant,
@@ -41,7 +40,7 @@ from .solver import (
     simulate_pairs,
     simulate_replicas,
 )
-from .ywtools import RhoSpec, YWFamily, a_sequence, build_family, calculus_bound_check, delta_approx_check
+from .ywtools import RhoSpec, YWFamily, a_sequence, build_family, delta_approx_check
 from .estimators import (
     HolderReport,
     UniquenessReport,
@@ -51,7 +50,6 @@ from .estimators import (
     holder_exponent,
     structure_function,
     uniqueness_gap,
-    weighted_sup_moment,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._fit import fit_loglog
 from .config import DEFAULT_CONFIG, ExperimentConfig
 from .errors import (
     BlowUpError,
@@ -44,7 +45,6 @@ from .estimators import (
 from .kernels import classify_regime
 from .noise import NoiseField, covariance_check, write_field
 from .oracles import (
-    fit_offset_exponent,
     space_difference_riesz,
     time_difference_riesz,
     verify_correst,
@@ -143,7 +143,7 @@ def _cmd_noise_check(cfg: ExperimentConfig, gated: bool) -> int:
     steps = cfg.get_int("noise.steps")
     lags = [g * grid.h for g in cells]
     rows = covariance_check(
-        grid, kspec, grid.dt, lags, replicas=replicas, steps_per_replica=steps,
+        grid, kspec, lags, replicas=replicas, steps_per_replica=steps,
         master_seed=cfg.get_int("run.seed"),
     )
     ok = True
@@ -393,11 +393,11 @@ def _cmd_oracle(cfg: ExperimentConfig, gated: bool) -> int:
 
     seps = [2.0**-k for k in range(3, 8)]
     vals = [space_difference_riesz(0.25, 0.0, s, alpha) for s in seps]
-    slope = fit_offset_exponent(seps, vals)
+    slope, _ = fit_loglog(seps, vals)
     fits.append(["space-difference-exponent", 0.25, slope, 2.0, 0.05, abs(slope - 2.0) <= 0.05])
     dts = [2.0**-k for k in range(5, 10)]
     vals = [time_difference_riesz(0.25, 0.25 + d, 0.0, alpha) for d in dts]
-    slope = fit_offset_exponent(dts, vals)
+    slope, _ = fit_loglog(dts, vals)
     fits.append(["time-difference-exponent", 0.25, slope, 2.0, 0.05, abs(slope - 2.0) <= 0.05])
 
     jest = verify_jest([2.0**-k for k in range(2, 8)], a=0.4, b=0.0, c=0.0, alpha=alpha)

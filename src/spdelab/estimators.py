@@ -12,16 +12,18 @@ of a finite-horizon run, which otherwise leak into first differences and
 flatten the measured slope.  First differences remain the default and the
 contractual meaning of :func:`structure_function`.
 
-Every estimator here shares one structure-function path: one increment
-helper and one window, selected from a trajectory's ``times`` as a slice of
-its ``values`` rows (a view, never a copy).  The one lattice check is the
-grid's: :meth:`GridSpec.cells` turns a spatial lag or a conditioning scale
-``eps`` into whole cells (to 1e-9 of a cell, in ``[1, n/2]``), and
-:meth:`GridSpec.steps` turns a time lag into whole ``dt`` steps (to 1e-6 of
-a step, at least one); anything else is an InputError.  Snapshots are
+Every estimator here shares one structure-function path: one periodic
+increment helper and one window, ``[grid.t_min, grid.t_end]``, selected from
+a trajectory's ``times`` as a slice of its ``values`` rows (a view, never a
+copy).  The one lattice check is the grid's: :meth:`GridSpec.cells` turns a
+spatial lag or a conditioning scale ``eps`` into whole cells (to 1e-9 of a
+cell, in ``[1, n/2]``), and :meth:`GridSpec.steps` turns a time lag into
+whole ``dt`` steps (to 1e-6 of a step, at least one); anything else is an
+InputError.  Snapshots are
 matched by their recorded ``steps``, each to the one exactly the lag's number
-of steps later.  A :class:`HolderReport` keeps the MomentRows it fitted in
-``rows``.
+of steps later.  Every exponent is the slope of the package's one log-log
+least-squares fit, divided by ``p``; a :class:`HolderReport` keeps the
+MomentRows it fitted in ``rows``.
 
 Small-value conditioning restricts the anchors of the structure function to
 space-time points where the difference field of a coupled pair is below
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import minimum_filter1d
 
+from ._fit import fit_loglog
 from .errors import DomainError, InputError, InsufficientDataError
 from .solver import SolutionPair, Trajectory
 
@@ -57,9 +60,8 @@ class HolderReport:
     """Log-log regression of a structure function.
 
     ``exponent = slope / p`` estimates the scaling exponent; ``stderr`` is the
-    regression standard error of that ratio.  ``conditioning`` describes a
-    small-value restriction of the anchor set, if any.  ``rows`` are the
-    MomentRows that were fitted, one per lag.
+    regression standard error of that ratio.  ``rows`` are the MomentRows that
+    were fitted, one per lag.
     """
 
     direction: str
@@ -68,9 +70,7 @@ class HolderReport:
     slope: float
     exponent: float
     stderr: float
-    window: tuple
     order: int = 1
-    conditioning: str | None = None
     n_samples: int = 0
     rows: tuple = ()
 
@@ -84,37 +84,23 @@ def _as_traj_list(trajs) -> list[Trajectory]:
     return out
 
 
-def _window_of(grid, window):
-    if window is None:
-        window = (grid.t_min, grid.t_end)
-    t0, t1 = window
-    if not t0 <= t1:
-        raise DomainError("window must be ordered")
-    return (float(t0), float(t1))
+def _window_slice(grid, times) -> slice:
+    """The snapshot rows whose times lie in ``[grid.t_min, grid.t_end]``: a
+    slice, so that the rows it selects are a view, not a copy (``times`` are
+    increasing)."""
+    tol = _WINDOW_TOL * max(1.0, abs(grid.t_end))
+    return slice(bisect_left(times, grid.t_min - tol), bisect_right(times, grid.t_end + tol))
 
 
-def _window_slice(times, window) -> slice:
-    """The snapshot rows whose times lie in ``window``: a slice, so that the
-    rows it selects are a view, not a copy (``times`` are increasing)."""
-    t0, t1 = window
-    tol = _WINDOW_TOL * max(1.0, abs(t1))
-    return slice(bisect_left(times, t0 - tol), bisect_right(times, t1 + tol))
-
-
-def _increment_power(values, p, order=1, cells=0, later=None, wrap=True) -> np.ndarray:
+def _increment_power(values, p, order=1, cells=0, later=None) -> np.ndarray:
     """``|increment|^p`` at every anchor: ``later - values`` for a time lag,
-    else the order-1 or order-2 difference at ``cells`` along axis 0, without
-    the anchors that cross the periodic seam when ``wrap`` is False."""
+    else the periodic order-1 or order-2 difference at ``cells`` along axis 0."""
     if later is not None:
         diff = later - values
     elif order == 1:
         diff = np.roll(values, -cells, axis=0) - values
-        if not wrap:
-            diff = diff[:-cells]
     else:
         diff = np.roll(values, -cells, axis=0) - 2.0 * values + np.roll(values, cells, axis=0)
-        if not wrap:
-            diff = diff[cells:-cells]
     return np.abs(diff) ** p
 
 
@@ -123,9 +109,7 @@ def structure_function(
     p: float = 2.0,
     direction: str = "space",
     lags=None,
-    window=None,
     order: int = 1,
-    wrap: bool = True,
 ) -> list[MomentRow]:
     """Moment table of field increments over all anchors in the window.
 
@@ -133,13 +117,10 @@ def structure_function(
     Temporal lags must lie on the ``dt`` lattice; each snapshot is paired,
     by its recorded step, with the one exactly the lag's number of steps
     later, if it was recorded.  The standard error at each lag
-    is the spread of the per-trajectory means.  ``wrap=False`` drops the
-    anchors whose increment crosses the periodic seam (for non-periodic
-    deterministic profiles).
+    is the spread of the per-trajectory means.
     """
     trajs = _as_traj_list(trajs)
     grid = trajs[0].grid
-    window = _window_of(grid, window)
     if direction not in ("space", "time"):
         raise DomainError("direction must be 'space' or 'time'")
     if order not in (1, 2):
@@ -148,7 +129,7 @@ def structure_function(
         raise DomainError("order-2 increments are supported in space only")
     if lags is None:
         raise DomainError("lags must be given")
-    windows = [_window_slice(traj.times, window) for traj in trajs]
+    windows = [_window_slice(grid, traj.times) for traj in trajs]
     snaps = [traj.values[w] for traj, w in zip(trajs, windows)]
     if direction == "time":
         by_step = [dict(zip(traj.steps[w], arr)) for traj, w, arr in zip(trajs, windows, snaps)]
@@ -161,7 +142,7 @@ def structure_function(
             cells = grid.cells(lag)
             for arr in snaps:
                 if len(arr):
-                    moments = [np.mean(_increment_power(row, p, order, cells, wrap=wrap)) for row in arr]
+                    moments = [np.mean(_increment_power(row, p, order, cells)) for row in arr]
                     per_traj.append(np.mean(moments))
                     n_anchors += len(arr) * grid.n_cells
         else:
@@ -191,21 +172,6 @@ def structure_function(
     return rows
 
 
-def _fit_loglog(lags, moments):
-    x = np.log(np.asarray(lags, dtype=float))
-    y = np.log(np.asarray(moments, dtype=float))
-    if np.any(~np.isfinite(y)):
-        raise DomainError("zero or non-finite moments cannot be fit on a log scale")
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    slope, intercept = coef
-    resid = y - A @ coef
-    dof = max(len(x) - 2, 1)
-    denom = np.sum((x - x.mean()) ** 2)
-    slope_se = float(np.sqrt(np.sum(resid**2) / dof / denom))
-    return float(slope), slope_se
-
-
 def _require_octaves(lags):
     lags = np.asarray(list(lags), dtype=float)
     if lags.size < 2 or np.min(lags) <= 0:
@@ -215,8 +181,8 @@ def _require_octaves(lags):
     return lags
 
 
-def _fit_report(rows, direction, p, window, order, n_samples, conditioning=None) -> HolderReport:
-    slope, slope_se = _fit_loglog([r.lag for r in rows], [r.moment for r in rows])
+def _fit_report(rows, direction, p, order, n_samples) -> HolderReport:
+    slope, slope_se = fit_loglog([r.lag for r in rows], [r.moment for r in rows])
     return HolderReport(
         direction=direction,
         p=p,
@@ -224,9 +190,7 @@ def _fit_report(rows, direction, p, window, order, n_samples, conditioning=None)
         slope=slope,
         exponent=slope / p,
         stderr=max(slope_se / p, 1e-15),
-        window=window,
         order=order,
-        conditioning=conditioning,
         n_samples=n_samples,
         rows=tuple(rows),
     )
@@ -237,52 +201,12 @@ def holder_exponent(
     p: float = 2.0,
     direction: str = "space",
     lags=None,
-    window=None,
     order: int = 1,
 ) -> HolderReport:
     """Scaling-exponent estimate: log-log slope of the structure function over p."""
     lags = _require_octaves(lags)
-    trajs = _as_traj_list(trajs)
-    window = _window_of(trajs[0].grid, window)
-    rows = structure_function(trajs, p=p, direction=direction, lags=lags, window=window, order=order)
-    return _fit_report(rows, direction, p, window, order, sum(r.n_samples for r in rows))
-
-
-@dataclass(frozen=True)
-class WeightedSupReport:
-    p: float
-    lam: float
-    statistic: float
-    per_replica: tuple
-    quantiles: dict
-
-
-def weighted_sup_moment(trajs, p: float, lam: float, window=None) -> WeightedSupReport:
-    """``sup_t sup_x |u(t,x)|^p exp(-lam |x - center|)`` per replica, with quantiles."""
-    if not p > 0 or not lam > 0:
-        raise DomainError("need p > 0 and lam > 0")
-    trajs = _as_traj_list(trajs)
-    grid = trajs[0].grid
-    if window is None:
-        window = (0.0, grid.t_end)
-    x = grid.axis_coords()
-    centered = np.abs(x - grid.l / 2.0)
-    if grid.dim == 1:
-        weight = np.exp(-lam * centered)
-    else:
-        dist = np.sqrt(centered[:, None] ** 2 + centered[None, :] ** 2)
-        weight = np.exp(-lam * dist)
-    stats = []
-    for traj in trajs:
-        snaps = traj.values[_window_slice(traj.times, window)]
-        if not len(snaps):
-            raise InputError("no snapshots in window")
-        stats.append(max(float(np.max(np.abs(row) ** p * weight)) for row in snaps))
-    stats = np.asarray(stats)
-    qs = {q: float(np.quantile(stats, q)) for q in (0.1, 0.5, 0.9)}
-    return WeightedSupReport(
-        p=p, lam=lam, statistic=float(np.median(stats)), per_replica=tuple(stats), quantiles=qs
-    )
+    rows = structure_function(trajs, p=p, direction=direction, lags=lags, order=order)
+    return _fit_report(rows, direction, p, order, sum(r.n_samples for r in rows))
 
 
 def critical_exponent_limit(alpha: float, gamma: float) -> float:
@@ -341,9 +265,7 @@ def conditional_regularity(
     eps_values,
     p: float = 2.0,
     lags=None,
-    window=None,
     order: int = 1,
-    min_anchors: int = 100,
 ) -> ConditionalRegularityResult:
     """Structure-function exponents of the pair difference near its small values.
 
@@ -352,8 +274,8 @@ def conditional_regularity(
     ``|diff(t, xhat)| <= eps^xi`` for some ``|xhat - x| <= eps``, and
     ``eps`` must be a whole number of cells (``GridSpec.cells``); the
     conditional exponent is compared against the unconditional one on the
-    same lags.  Fails loudly when the conditioning set is too small or the
-    difference field is degenerate.
+    same lags.  Fails loudly when the conditioning set has fewer than 100
+    anchors or the difference field is degenerate.
     """
     pairs = [pair] if isinstance(pair, SolutionPair) else list(pair)
     if not pairs:
@@ -369,9 +291,8 @@ def conditional_regularity(
         lags = [grid.h * g for g in (1, 2, 4, 8)]
     lags = _require_octaves(lags)
     cells = [grid.cells(lag) for lag in lags]
-    window = _window_of(grid, window)
 
-    snaps = [row for pr in pairs for row in pr.diffs[_window_slice(pr.times, window)]]
+    snaps = [row for pr in pairs for row in pr.diffs[_window_slice(grid, pr.times)]]
     if not snaps:
         raise InputError("no difference snapshots in window")
     if max(float(np.max(np.abs(row))) for row in snaps) == 0.0:
@@ -380,7 +301,7 @@ def conditional_regularity(
     # each snapshot's |increment|^p at each lag, computed once for every fit
     powers = [[_increment_power(row, p, order, c) for row in snaps] for c in cells]
 
-    def report(masks, conditioning=None):
+    def report(masks):
         """Fit of the anchor-pooled moments; ``masks[i]`` selects snapshot
         ``i``'s anchors, None selects them all."""
         rows = []
@@ -395,7 +316,7 @@ def conditional_regularity(
             if cnt == 0:
                 raise InsufficientDataError("empty anchor set", n_samples=0)
             rows.append(MomentRow(lag=float(lag), moment=acc / cnt, stderr=0.0, n_samples=cnt))
-        return _fit_report(rows, "space", p, window, order, rows[0].n_samples, conditioning)
+        return _fit_report(rows, "space", p, order, rows[0].n_samples)
 
     unconditional = report([None] * len(snaps))
 
@@ -413,13 +334,13 @@ def conditional_regularity(
             occupied += int(np.count_nonzero(mask))
             masks.append(mask)
         occupancy[float(eps)] = occupied / (len(snaps) * grid.n)
-        if occupied < min_anchors:
+        if occupied < 100:
             raise InsufficientDataError(
-                f"conditioning set at eps={eps} has {occupied} anchors (need >= {min_anchors})",
+                f"conditioning set at eps={eps} has {occupied} anchors (need >= 100)",
                 n_samples=occupied,
                 occupancy=occupancy,
             )
-        rep = report(masks, f"small-value xi={xi:g} eps={float(eps):g}")
+        rep = report(masks)
         conditional.append(rep)
         gaps.append(rep.exponent - unconditional.exponent)
 

@@ -186,21 +186,6 @@ def kernel_eval(spec: KernelSpec, r):
     return spec.amplitude * (r ** (-spec.alpha) + 1.0)
 
 
-def dalang_condition(alpha: float, dim: int, eta: float) -> bool:
-    """Integrability of the Riesz spectral measure against ``(1+|xi|^2)^(-eta)``.
-
-    True iff ``alpha < min(2 eta, d)``, which is exactly when
-    ``int mu(dxi) / (1 + |xi|^2)^eta`` is finite for the density
-    ``|xi|^(alpha-d)``: the singularity at 0 needs ``alpha > 0`` (assumed) and
-    the tail needs ``alpha - d - 2 eta < -d``.
-    """
-    if not alpha > 0:
-        raise DomainError("dalang_condition requires alpha > 0")
-    if not 0 <= eta <= 1:
-        raise DomainError("eta must lie in [0, 1]")
-    return alpha < min(2.0 * eta, float(dim))
-
-
 def negative_moment_constant(alpha: float, dim: int) -> float:
     """``E|B_1|^(-alpha)`` for a standard d-dimensional Gaussian vector.
 
@@ -242,7 +227,7 @@ def classify_regime(kspec: KernelSpec, sspec) -> RegimeVerdict:
             "function-valued solution",
         )
     if sspec.is_lipschitz:
-        if kspec.is_singular and not alpha < min(2, d):
+        if not kspec.in_existence_regime:
             return RegimeVerdict(
                 OPEN, "critical alpha = 2 and d: existence theory unavailable"
             )

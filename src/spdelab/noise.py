@@ -29,6 +29,7 @@ generated in any order, concurrently, with bit-identical results.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -62,6 +63,7 @@ class GridSpec:
     ``n`` points per axis (power of two) on a torus of side ``l``; spacing
     ``h = l/n``.  ``dt`` defaults to ``h^2/2`` (resolves the smallest
     diffusive scale), ``t_min`` to ``0.1 * t_end`` (estimator burn-in).
+    Lengths and times must be finite.
     """
 
     dim: int = 1
@@ -76,14 +78,14 @@ class GridSpec:
             raise DomainError("grid dim must be 1 or 2")
         if not _is_power_of_two(self.n) or self.n < 4:
             raise DomainError("n must be a power of two >= 4")
-        if not self.l > 0:
-            raise DomainError("domain length must be > 0")
+        if not 0 < self.l < math.inf:
+            raise DomainError("domain length must be finite and > 0")
         if self.dt is None:
             object.__setattr__(self, "dt", self.h * self.h / 2.0)
-        if not self.dt > 0:
-            raise DomainError("dt must be > 0")
-        if not self.t_end > 0:
-            raise DomainError("t_end must be > 0")
+        if not 0 < self.dt < math.inf:
+            raise DomainError("dt must be finite and > 0")
+        if not 0 < self.t_end < math.inf:
+            raise DomainError("t_end must be finite and > 0")
         if self.t_min is None:
             object.__setattr__(self, "t_min", 0.1 * self.t_end)
         if not 0 <= self.t_min < self.t_end:
@@ -108,18 +110,20 @@ class GridSpec:
         """``length`` as a whole number of cells (to 1e-9 of a cell) in
         ``[lo, n/2]``; longer lengths would alias through the periodic wrap."""
         g = length / self.h
-        gi = int(round(g))
-        if abs(g - gi) > 1e-9 or gi < lo or gi > self.n // 2:
-            raise InputError(f"length {length} is not a whole number of cells in [{lo}, {self.n // 2}]")
-        return gi
+        if math.isfinite(g):
+            gi = int(round(g))
+            if abs(g - gi) <= 1e-9 and lo <= gi <= self.n // 2:
+                return gi
+        raise InputError(f"length {length} is not a whole number of cells in [{lo}, {self.n // 2}]")
 
     def steps(self, t, lo: int = 0) -> int:
         """``t`` as a whole number of ``dt`` steps (to 1e-6 of a step), at least ``lo``."""
         m = t / self.dt
-        mi = int(round(m))
-        if abs(m - mi) > 1e-6 or mi < lo:
-            raise InputError(f"time {t} is not a whole number of steps >= {lo} (dt={self.dt})")
-        return mi
+        if math.isfinite(m):
+            mi = int(round(m))
+            if abs(m - mi) <= 1e-6 and mi >= lo:
+                return mi
+        raise InputError(f"time {t} is not a whole number of steps >= {lo} (dt={self.dt})")
 
 
 @dataclass(frozen=True)
@@ -169,41 +173,43 @@ def _signed_modes(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _amplitudes_cached(grid: GridSpec, kspec: KernelSpec) -> np.ndarray:
+    """Per-mode standard deviations (unit dt): the square roots of the mode
+    masses, which are checked here, once, for every caller."""
     n, l, d = grid.n, grid.l, grid.dim
     if kspec.kind == "white":
         mass = np.full(grid.shape, kspec.amplitude / l**d)
-        return np.sqrt(mass)
-    if kspec.kind == "bounded-constant":
+    elif kspec.kind == "bounded-constant":
         mass = np.zeros(grid.shape)
         mass[(0,) * d] = kspec.amplitude
-        return np.sqrt(mass)
-
-    kspec.require_existence_regime()
-    alpha = kspec.alpha
-    c = riesz_spectral_constant(alpha, d)
-    k = _signed_modes(n)
-    if d == 1:
-        kk = np.abs(k)
-        mass = np.zeros(n)
-        nz = kk > 0
-        # exact integral of c |xi|^(alpha-1) over each frequency cell of width 1/l
-        mass[nz] = c / alpha * ((kk[nz] + 0.5) ** alpha - (kk[nz] - 0.5) ** alpha)
-        mass[0] = c / alpha * 2.0 * 0.5**alpha
-        mass /= l**alpha
     else:
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        norm = np.sqrt(kx * kx + ky * ky)
-        mass = np.zeros((n, n))
-        nz = norm > 0
-        # midpoint density x cell area for nonzero modes
-        mass[nz] = c * (norm[nz] / l) ** (alpha - 2.0) / l**2
-        # zero cell: density integrated over the equal-area disc
-        r_eq = 1.0 / (np.sqrt(np.pi) * l)
-        mass[0, 0] = c * 2.0 * np.pi * r_eq**alpha / alpha
-    mass *= kspec.amplitude
-    if kspec.kind == "riesz-plus-constant":
-        # the additive constant in the kernel is a pure DC covariance component
-        mass[(0,) * d] += kspec.amplitude
+        kspec.require_existence_regime()
+        alpha = kspec.alpha
+        c = riesz_spectral_constant(alpha, d)
+        k = _signed_modes(n)
+        if d == 1:
+            kk = np.abs(k)
+            mass = np.zeros(n)
+            nz = kk > 0
+            # exact integral of c |xi|^(alpha-1) over each frequency cell of width 1/l
+            mass[nz] = c / alpha * ((kk[nz] + 0.5) ** alpha - (kk[nz] - 0.5) ** alpha)
+            mass[0] = c / alpha * 2.0 * 0.5**alpha
+            mass /= l**alpha
+        else:
+            kx, ky = np.meshgrid(k, k, indexing="ij")
+            norm = np.sqrt(kx * kx + ky * ky)
+            mass = np.zeros((n, n))
+            nz = norm > 0
+            # midpoint density x cell area for nonzero modes
+            mass[nz] = c * (norm[nz] / l) ** (alpha - 2.0) / l**2
+            # zero cell: density integrated over the equal-area disc
+            r_eq = 1.0 / (np.sqrt(np.pi) * l)
+            mass[0, 0] = c * 2.0 * np.pi * r_eq**alpha / alpha
+        mass *= kspec.amplitude
+        if kspec.kind == "riesz-plus-constant":
+            # the additive constant in the kernel is a pure DC covariance component
+            mass[(0,) * d] += kspec.amplitude
+    if not np.all(np.isfinite(mass)) or np.any(mass < 0):
+        raise SpectralError("spectral masses must be finite and >= 0")
     return np.sqrt(mass)
 
 
@@ -213,10 +219,7 @@ def spectral_amplitudes(grid: GridSpec, kspec: KernelSpec) -> np.ndarray:
     The synthesized field has covariance ``sum_k sigma_k^2 cos(2 pi k.r / l)``,
     which matches ``kernel_eval`` at resolvable separations.
     """
-    amps = _amplitudes_cached(grid, kspec)
-    if not np.all(np.isfinite(amps)) or np.any(amps < 0):
-        raise SpectralError("spectral amplitudes must be finite and >= 0")
-    return amps.copy()
+    return _amplitudes_cached(grid, kspec).copy()
 
 
 def _draw_spectrum(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -289,22 +292,22 @@ class CovarianceRow:
     theory: float
 
 
-def _theory_cov(kspec: KernelSpec, grid: GridSpec, dt: float, lag: float) -> float:
+def _theory_cov(kspec: KernelSpec, grid: GridSpec, lag: float) -> float:
     if kspec.kind == "white":
-        return dt * kspec.amplitude / grid.h**grid.dim if lag == 0 else 0.0
-    return float(dt * kernel_eval(kspec, lag))
+        return grid.dt * kspec.amplitude / grid.h**grid.dim if lag == 0 else 0.0
+    return float(grid.dt * kernel_eval(kspec, lag))
 
 
 def covariance_check(
     grid: GridSpec,
     kspec: KernelSpec,
-    dt: float,
     lags,
     replicas: int,
     steps_per_replica: int = 1,
     master_seed: int = 0xC0FFEE,
 ) -> list[CovarianceRow]:
-    """Streaming Monte Carlo covariance check against ``dt * k``.
+    """Streaming Monte Carlo covariance check of increments over ``grid.dt``
+    against ``grid.dt * k``.
 
     Each replica is one stream that contributes ``steps_per_replica``
     independent increments (distinct step indices).  No field is formed: by
@@ -317,8 +320,6 @@ def covariance_check(
     (its variance is dominated by the grid-scale mollified singularity), so
     tight tolerances need ``steps_per_replica`` well above 1.
     """
-    if not dt > 0:
-        raise DomainError("dt must be > 0")
     if steps_per_replica < 1:
         raise DomainError("steps_per_replica must be >= 1")
     if replicas < 2:
@@ -326,7 +327,7 @@ def covariance_check(
     offsets = [grid.cells(lag, lo=0) for lag in lags]
     if 0 in offsets and kspec.is_singular:
         raise SingularKernelError("lag 0 excluded: riesz kernel is singular at separation 0")
-    amps = spectral_amplitudes(grid, kspec) * np.sqrt(dt)
+    amps = spectral_amplitudes(grid, kspec) * np.sqrt(grid.dt)
     n, nh = grid.n, grid.n // 2 + 1
     per_replica = np.empty((replicas, len(offsets)))
     for r in range(replicas):
@@ -338,7 +339,7 @@ def covariance_check(
     return [
         CovarianceRow(lag=float(lag), estimate=float(np.mean(col)),
                       stderr=float(np.std(col, ddof=1) / np.sqrt(len(col))),
-                      theory=_theory_cov(kspec, grid, dt, float(lag)))
+                      theory=_theory_cov(kspec, grid, float(lag)))
         for lag, col in zip(lags, per_replica.T)
     ]
 

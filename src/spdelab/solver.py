@@ -35,7 +35,6 @@ from .errors import (
     DomainError,
     ExtrapolationError,
     InputError,
-    SpectralError,
 )
 from .kernels import KernelSpec, semigroup_multiplier
 from .noise import GridSpec, RngStream, read_field
@@ -254,8 +253,7 @@ def _integrate(
     Step ``m`` draws replica ``r``'s ``dW`` from ``streams[r].at_step(m - 1)``
     (row ``r`` of the stacked draws is bitwise ``synthesize`` of that stream)
     and broadcasts it over that replica's legs; the step is then
-    ``u + sigma(u) dW`` followed by the heat semigroup's FFT pair.  The mode
-    standard deviations are validated once, before the loop.  The FFTs
+    ``u + sigma(u) dW`` followed by the heat semigroup's FFT pair.  The FFTs
     transform each (replica, leg) row independently, so every row is bitwise
     the run it would be on its own.  A blow-up stops the batch at the first
     step where any replica is non-finite; the BlowUpError names that step, the
@@ -265,8 +263,6 @@ def _integrate(
     dt = grid.dt
     want = _snapshot_steps(grid, snapshot_times)
     mode_std = _amplitudes_cached(grid, kspec) * np.sqrt(dt)
-    if not np.all(np.isfinite(mode_std)) or np.any(mode_std < 0):
-        raise SpectralError("mode standard deviations must be finite and >= 0")
     xi = np.fft.rfftfreq(grid.n, d=grid.h)
     if grid.dim == 1:
         rfft, irfft, size = np.fft.rfft, np.fft.irfft, grid.n

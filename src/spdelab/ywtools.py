@@ -342,44 +342,3 @@ def delta_approx_check(family: YWFamily, h) -> float:
         limit=400,
     )
     return float(val)
-
-
-@dataclass(frozen=True)
-class CalcBoundReport:
-    lhs_sup: float
-    rhs: float
-    passed: bool
-
-
-def calculus_bound_check(values, spacing, tol: float | None = None) -> CalcBoundReport:
-    """Check ``sup (d_i f)^2 / f <= 2 max_i sup |d_i^2 f|`` on a grid function.
-
-    ``values`` is a nonnegative compactly supported grid function (1-D or
-    2-D), ``spacing`` the uniform grid step.  Derivatives are central finite
-    differences on interior points; the supremum on the left ignores points
-    with ``f <= tol`` (default ``1e-6 * max f``) where the quotient is
-    numerically meaningless.
-    """
-    f = np.asarray(values, dtype=float)
-    if np.any(f < 0):
-        raise DomainError("calculus bound requires a nonnegative function")
-    if f.ndim not in (1, 2):
-        raise DomainError("only 1-D and 2-D grid functions are supported")
-    fmax = float(np.max(f))
-    if fmax == 0.0:
-        return CalcBoundReport(0.0, 0.0, True)
-    if tol is None:
-        tol = 1e-6 * fmax
-
-    lhs_sup = 0.0
-    rhs = 0.0
-    for axis in range(f.ndim):
-        fw = np.moveaxis(f, axis, 0)
-        grad = (fw[2:] - fw[:-2]) / (2.0 * spacing)
-        second = (fw[2:] - 2.0 * fw[1:-1] + fw[:-2]) / spacing**2
-        center = fw[1:-1]
-        mask = center > tol
-        if np.any(mask):
-            lhs_sup = max(lhs_sup, float(np.max(grad[mask] ** 2 / center[mask])))
-        rhs = max(rhs, 2.0 * float(np.max(np.abs(second))))
-    return CalcBoundReport(lhs_sup, rhs, lhs_sup <= rhs * (1.0 + 1e-3))

@@ -31,9 +31,9 @@ from spdelab.kernels import (
     classify_regime,
     negative_moment_constant,
 )
+from spdelab._fit import fit_loglog
 from spdelab.noise import GridSpec, RngStream, covariance_check
 from spdelab.oracles import (
-    fit_offset_exponent,
     heat_difference_l1,
     space_difference_riesz,
     time_difference_riesz,
@@ -69,7 +69,7 @@ def test_criterion_1_noise_covariance():
         kspec = KernelSpec(kind="riesz", alpha=alpha, dim=1)
         t0 = time.perf_counter()
         rows = covariance_check(
-            grid, kspec, grid.dt, lags, replicas=2000,
+            grid, kspec, lags, replicas=2000,
             steps_per_replica=steps, master_seed=0xC0FFEE,
         )
         elapsed = time.perf_counter() - t0
@@ -101,8 +101,8 @@ def _holder_run(kspec, seed, n=4096, replicas=64, chunk=8):
             trows = structure_function(traj, p=2, direction="time", lags=time_lags, order=1)
             acc_space.append([row.moment for row in srows])
             acc_time.append([row.moment for row in trows])
-    sp = fit_offset_exponent(space_lags, np.mean(acc_space, axis=0)) / 2.0
-    tm = fit_offset_exponent(time_lags, np.mean(acc_time, axis=0)) / 2.0
+    sp = fit_loglog(space_lags, np.mean(acc_space, axis=0))[0] / 2.0
+    tm = fit_loglog(time_lags, np.mean(acc_time, axis=0))[0] / 2.0
     return sp, tm
 
 
@@ -189,17 +189,17 @@ def test_criterion_4_kernel_estimate_oracles():
     details.append(f"convolution chain ok = {chain_ok}")
 
     seps = [2.0**-k for k in range(4, 9)]
-    slope1 = fit_offset_exponent(
+    slope1, _ = fit_loglog(
         seps, [heat_difference_l1(0.25, 0.25, 0.0, s) for s in seps]
     )
     ok &= abs(slope1 - 1.0) <= 0.05
     details.append(f"L1-difference space exponent {slope1:.3f}")
 
-    slope_s = fit_offset_exponent(
+    slope_s, _ = fit_loglog(
         seps, [space_difference_riesz(0.25, 0.0, s, 0.5) for s in seps]
     )
     dts = [2.0**-k for k in range(6, 11)]
-    slope_t = fit_offset_exponent(
+    slope_t, _ = fit_loglog(
         dts, [time_difference_riesz(0.25, 0.25 + d, 0.0, 0.5) for d in dts]
     )
     ok &= abs(slope_s - 2.0) <= 0.05 and abs(slope_t - 2.0) <= 0.05
@@ -336,7 +336,7 @@ def test_criterion_7_small_value_regularity():
     pairs = [pair for (pair,) in simulate_pairs(grid, kspec, sigma, u0, pert, [0.1], streams, times)]
     res = conditional_regularity(
         pairs, xi=0.875, eps_values=[4 * h, 8 * h],
-        lags=[c * h for c in (1, 2, 4, 8)], order=1, min_anchors=100,
+        lags=[c * h for c in (1, 2, 4, 8)], order=1,
     )
     gap0 = res.gaps[0]
     anchors = res.conditional[0].n_samples

@@ -206,6 +206,12 @@ class TestExitCodes:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("precondition error:")
 
+    @pytest.mark.parametrize("setting", ["grid.dt=inf", "sim.snapshots=inf", "sim.snapshots=nan"])
+    def test_non_finite_step_or_snapshot_time_is_3(self, tmp_path, setting):
+        proc = run_cli(["simulate", "--set", "grid.n=32", "--set", setting, "--out", str(tmp_path / "o")])
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("precondition error:")
+
     def test_small_value_eps_beyond_half_grid_is_3(self, tmp_path):
         # a 40-cell window on n=64 would wrap the whole torus
         code = main(["small-value", "--set", "grid.n=64", "--set", "smallvalue.eps_cells=4,40",
@@ -512,10 +518,13 @@ class TestGoldenBytes:
         """Recorded before ``oracle_cases.csv`` was written by the CLI's one CSV
         writer; ``oracle_cases.csv`` re-recorded when ``verify_jest`` began to
         store ``t_values`` as Python floats, whose repr does not depend on the
-        numpy version."""
+        numpy version.  Both re-recorded when every exponent came to be fitted
+        by the one least-squares fit in place of a polynomial fit: the three
+        fitted slopes, and the triple-time row's ``lhs`` and ``ratio``, moved
+        in their last digits."""
         out = tmp_path / "o"
         assert main(["oracle", "--set", "oracle.cases=3", "--seed", "5", "--out", str(out)]) == 0
         assert sha256_of(out, "oracle_cases.csv", "oracle_fits.csv") == {
-            "oracle_cases.csv": "7b70705c23fccda89cd540b4c48d83dd67bb83eb235e39a4f364f61bf53b7243",
-            "oracle_fits.csv": "775b2b7e6065222d0d319b993c223c20cd8b74acf27466e78daacb9c1b0f7b4b",
+            "oracle_cases.csv": "00d7c8c5f03e13055fb6daa43b59dc593c89fa838f4bdd42bcf30de337b1ad9a",
+            "oracle_fits.csv": "f97ae9a95d0d2a79386b210f5fae181231f4db2232cf7944fef469ad9e97c307",
         }

@@ -12,7 +12,6 @@ from spdelab.estimators import (
     holder_exponent,
     structure_function,
     uniqueness_gap,
-    weighted_sup_moment,
 )
 from spdelab.kernels import KernelSpec
 from spdelab.noise import GridSpec, RngStream, synthesize
@@ -20,7 +19,6 @@ from spdelab.solver import (
     InitialCondition,
     SigmaSpec,
     Trajectory,
-    simulate,
     simulate_pairs,
 )
 
@@ -49,15 +47,17 @@ class TestStructureFunction:
         assert all(r.moment == 0.0 for r in rows)
 
     def test_linear_profile_exact(self):
+        # increments are periodic: the c anchors whose lag crosses the seam
+        # see the jump s * (l - c h), the other n - c see the slope s * c h
         g = grid1d(n=512, l=1.0)
         s = 3.0
         traj = make_traj(g, [s * g.axis_coords()])
         for p in (1, 2):
             for cells in (4, 16):
-                row = structure_function(
-                    traj, p=p, direction="space", lags=[cells * g.h], wrap=False
-                )[0]
-                assert row.moment == pytest.approx((s * cells * g.h) ** p, rel=1e-12)
+                row = structure_function(traj, p=p, direction="space", lags=[cells * g.h])[0]
+                slope, seam = s * cells * g.h, s * (g.l - cells * g.h)
+                expected = ((g.n - cells) * slope**p + cells * seam**p) / g.n
+                assert row.moment == pytest.approx(expected, rel=1e-12)
 
     def test_translation_invariance(self):
         g = grid1d(n=1024)
@@ -174,45 +174,6 @@ class TestHolderExponent:
         assert rep.direction == "space"
         assert rep.n_samples >= 100
         assert len(rep.lags) == 4
-
-
-class TestWeightedSupMoment:
-    def test_zero_field(self):
-        g = grid1d(n=256)
-        rep = weighted_sup_moment(make_traj(g, [np.zeros(g.n)]), p=2, lam=1.0)
-        assert rep.statistic == 0.0
-
-    def test_constant_field_weight_peaks_at_center(self):
-        g = grid1d(n=256)
-        c = 1.7
-        rep = weighted_sup_moment(make_traj(g, [np.full(g.n, c)]), p=3, lam=5.0)
-        assert rep.statistic == pytest.approx(abs(c) ** 3, rel=1e-12)
-
-    def test_parameter_validation(self):
-        g = grid1d(n=256)
-        traj = make_traj(g, [np.zeros(g.n)])
-        with pytest.raises(DomainError):
-            weighted_sup_moment(traj, p=0.0, lam=1.0)
-        with pytest.raises(DomainError):
-            weighted_sup_moment(traj, p=2.0, lam=-1.0)
-
-    @pytest.mark.slow
-    def test_refinement_consistency(self):
-        # statistic stable under n -> 2n at fixed physical domain and horizon
-        def stat(n):
-            l, t_end = 4.0, 0.05
-            h = l / n
-            grid = GridSpec(dim=1, n=n, l=l, dt=h * h / 2, t_end=t_end)
-            k = KernelSpec(kind="riesz", alpha=0.5)
-            sig = SigmaSpec(kind="lipschitz-linear")
-            u0 = InitialCondition(kind="constant", value=1.0)
-            total = int(round(t_end / grid.dt))
-            times = [m * grid.dt for m in range(0, total + 1, max(1, total // 16))]
-            trajs = [simulate(grid, k, sig, u0, RngStream(5, r), times) for r in range(64)]
-            return weighted_sup_moment(trajs, p=2, lam=1.0).statistic
-
-        coarse, fine = stat(256), stat(512)
-        assert abs(fine / coarse - 1.0) <= 0.15
 
 
 class TestExponentArithmetic:

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from spdelab.errors import DomainError, SingularKernelError
@@ -16,7 +14,6 @@ from spdelab.kernels import (
     KernelSpec,
     RegimeVerdict,
     classify_regime,
-    dalang_condition,
     heat_kernel,
     kernel_eval,
     negative_moment_constant,
@@ -168,35 +165,6 @@ class TestSpectralDensity:
             numeric = 2.0 * (head + tail)
             closed = spectral_density(xi, alpha, d)
             assert abs(numeric / closed - 1.0) <= 0.02
-
-
-class TestDalangCondition:
-    def test_paper_examples(self):
-        assert dalang_condition(0.5, 1, 0.5) is True
-        assert dalang_condition(1.5, 1, 1.0) is False
-        assert dalang_condition(1.9, 2, 1.0) is True
-
-    def test_alpha_positive_required(self):
-        with pytest.raises(DomainError):
-            dalang_condition(0.0, 1, 0.5)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        alpha=st.floats(0.01, 3.0),
-        d=st.integers(1, 3),
-        eta=st.floats(0.0, 1.0),
-        d_eta=st.floats(0.0, 1.0),
-        d_alpha=st.floats(0.0, 1.0),
-    )
-    def test_monotonicity(self, alpha, d, eta, d_eta, d_alpha):
-        base = dalang_condition(alpha, d, eta)
-        if base:
-            # raising eta or d never flips true -> false
-            assert dalang_condition(alpha, d, min(eta + d_eta, 1.0))
-            assert dalang_condition(alpha, d + 1, eta)
-        else:
-            # raising alpha never flips false -> true
-            assert not dalang_condition(alpha + d_alpha, d, eta)
 
 
 class TestNegativeMomentConstant:

@@ -10,6 +10,7 @@ from spdelab.errors import (
     SingularKernelError,
     SpectralError,
 )
+from spdelab import noise
 from spdelab.kernels import KernelSpec
 from spdelab.noise import (
     GridSpec,
@@ -21,7 +22,8 @@ from spdelab.noise import (
     synthesize,
     write_field,
 )
-from spdelab.noise import _draw_spectrum, _fields
+from spdelab.noise import _amplitudes_cached, _draw_spectrum, _fields
+from spdelab.solver import InitialCondition, SigmaSpec, simulate
 
 
 def grid1d(n=512, l=1.0, **kw):
@@ -69,6 +71,13 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(dim=3, n=64, l=1.0, t_end=1.0)
 
+    @pytest.mark.parametrize("field", ["l", "dt", "t_end", "t_min"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_values_rejected(self, field, value):
+        kw = {"dim": 1, "n": 64, "l": 1.0, "dt": 1e-4, "t_end": 1.0, "t_min": 0.1, field: value}
+        with pytest.raises(DomainError):
+            GridSpec(**kw)
+
 
 class TestGridLattice:
     """``cells``/``steps``: the one check that a length is whole cells and a time whole steps."""
@@ -91,6 +100,8 @@ class TestGridLattice:
         (33, 1),  # n/2 + 1 would alias through the periodic wrap
         (33, 0),
         (-1, 0),
+        (np.inf, 0),
+        (np.nan, 0),
     ])
     def test_cells_rejected(self, cells, lo):
         g = grid1d(n=64, l=2.5)
@@ -112,6 +123,8 @@ class TestGridLattice:
         (16 + 5e-6, 0),  # outside 1e-6 of a step
         (-1, 0),
         (0, 1),
+        (np.inf, 0),
+        (np.nan, 0),
     ])
     def test_steps_rejected(self, steps, lo):
         g = grid1d(n=64, dt=0.003)
@@ -193,6 +206,27 @@ class TestSpectralAmplitudes:
             synthesize(g, bad, RngStream(1).generator())
         with pytest.raises(InputError):
             synthesize(g, np.ones(5), RngStream(1).generator())
+
+
+class TestModeDeviationCheck:
+    """The one check that mode masses are finite and >= 0 guards every caller."""
+
+    @pytest.fixture
+    def nan_constant(self, monkeypatch):
+        monkeypatch.setattr(noise, "riesz_spectral_constant", lambda alpha, dim: np.nan)
+        _amplitudes_cached.cache_clear()
+        yield
+        _amplitudes_cached.cache_clear()
+
+    def test_every_caller_raises(self, nan_constant):
+        g = grid1d(n=64)
+        k = KernelSpec(kind="riesz", alpha=0.5)
+        with pytest.raises(SpectralError):
+            spectral_amplitudes(g, k)
+        with pytest.raises(SpectralError):
+            simulate(g, k, SigmaSpec(), InitialCondition(), RngStream(1), [0.0, g.dt])
+        with pytest.raises(SpectralError):
+            covariance_check(g, k, [4 * g.h], replicas=2)
 
 
 class TestSampleIncrement:
@@ -279,7 +313,7 @@ class TestEmpiricalCovariance:
     def test_white_off_lag_zero(self):
         g = grid1d(n=2048)
         k = KernelSpec(kind="white")
-        row = covariance_check(g, k, g.dt, [3 * g.h], replicas=50, master_seed=8)[0]
+        row = covariance_check(g, k, [3 * g.h], replicas=50, master_seed=8)[0]
         assert row.theory == 0.0
         assert abs(row.estimate) <= 3.0 * row.stderr
 
@@ -287,13 +321,13 @@ class TestEmpiricalCovariance:
         g = grid1d(n=128)
         k = KernelSpec(kind="riesz", alpha=0.5)
         with pytest.raises(SingularKernelError):
-            covariance_check(g, k, g.dt, [0.0], replicas=2, master_seed=9)
+            covariance_check(g, k, [0.0], replicas=2, master_seed=9)
 
     def test_requires_two_fields(self):
         g = grid1d(n=128)
         k = KernelSpec(kind="riesz", alpha=0.5)
         with pytest.raises(InsufficientDataError):
-            covariance_check(g, k, g.dt, [4 * g.h], replicas=1, master_seed=1)
+            covariance_check(g, k, [4 * g.h], replicas=1, master_seed=1)
 
     def test_mismatched_grids_rejected(self):
         k = KernelSpec(kind="riesz", alpha=0.5)
@@ -305,13 +339,13 @@ class TestEmpiricalCovariance:
         g = grid1d(n=128)
         k = KernelSpec(kind="riesz", alpha=0.5)
         with pytest.raises(InputError):
-            covariance_check(g, k, g.dt, [g.h * 0.37], replicas=2, master_seed=1)
+            covariance_check(g, k, [g.h * 0.37], replicas=2, master_seed=1)
 
     def test_riesz_covariance_smoke(self):
         # small-scale version of the acceptance contract
         g = grid1d(n=512)
         k = KernelSpec(kind="riesz", alpha=0.5)
-        rows = covariance_check(g, k, g.dt, [8 * g.h], replicas=300, steps_per_replica=8, master_seed=77)
+        rows = covariance_check(g, k, [8 * g.h], replicas=300, steps_per_replica=8, master_seed=77)
         row = rows[0]
         assert row.estimate == pytest.approx(row.theory, rel=0.10)
 
@@ -364,7 +398,7 @@ class TestPowerSpectrumEstimator:
             )
         est, se = self.roll_estimate(per_replica)
         rows = covariance_check(
-            g, k, g.dt, [c * g.h for c in cells], replicas=replicas,
+            g, k, [c * g.h for c in cells], replicas=replicas,
             steps_per_replica=steps, master_seed=seed,
         )
         np.testing.assert_allclose([r.estimate for r in rows], est, rtol=1e-12)
@@ -378,13 +412,13 @@ class TestPowerSpectrumEstimator:
         est, se = self.roll_estimate(
             [[np.mean(x * np.roll(x, c, axis=0)) for c in cells] for x in fields]
         )
-        rows = covariance_check(g, k, g.dt, [c * g.h for c in cells], replicas=6, master_seed=42)
+        rows = covariance_check(g, k, [c * g.h for c in cells], replicas=6, master_seed=42)
         np.testing.assert_allclose([r.estimate for r in rows], est, rtol=1e-12)
         np.testing.assert_allclose([r.stderr for r in rows], se, rtol=1e-12)
 
     def test_white_off_lag_theory_is_zero(self):
         g = grid1d(n=128)
-        rows = covariance_check(g, KernelSpec(kind="white"), g.dt, [0.0, 3 * g.h], replicas=2)
+        rows = covariance_check(g, KernelSpec(kind="white"), [0.0, 3 * g.h], replicas=2)
         assert rows[0].theory == pytest.approx(g.dt / g.h) and rows[1].theory == 0.0
 
     def test_synthesize_bits_unchanged(self):

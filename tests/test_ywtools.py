@@ -13,7 +13,6 @@ from spdelab.ywtools import (
     RhoSpec,
     a_sequence,
     build_family,
-    calculus_bound_check,
     delta_approx_check,
 )
 
@@ -101,7 +100,7 @@ class TestCustomRho:
         )
         assert mass == pytest.approx(1.0, abs=1e-6)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
         scale=st.floats(1.1, 4.0),
         power=st.floats(0.5, 0.95),
@@ -213,53 +212,7 @@ class TestDeltaApprox:
         assert errs[0] > 1e-3 > errs[-1]
 
 
-class TestCalculusBound:
-    def test_cos_squared_is_tight(self):
-        x = np.linspace(-1.2, 1.2, 4801)
-        f = np.where(np.abs(x) <= 1.0, np.cos(np.pi * x / 2) ** 2, 0.0)
-        rep = calculus_bound_check(f, x[1] - x[0])
-        # hand-computed: sup (f')^2/f = pi^2 and 2||f''|| = pi^2
-        assert rep.lhs_sup == pytest.approx(np.pi**2, abs=0.01)
-        assert rep.rhs == pytest.approx(np.pi**2, abs=0.01)
-        assert rep.passed
-
-    def test_plateau_interior_contributes_zero(self):
-        x = np.linspace(-2, 2, 2001)
-        ramp = np.clip((1.5 - np.abs(x)) / 0.5, 0.0, 1.0)
-        f = (3 * ramp**2 - 2 * ramp**3)  # C^1 plateau
-        rep = calculus_bound_check(f, x[1] - x[0])
-        interior = slice(900, 1101)  # |x| < 0.4: flat region
-        grad = np.gradient(f, x[1] - x[0])
-        assert np.max(np.abs(grad[interior])) == 0.0
-        assert rep.passed
-
-    def test_quartic_bump_passes(self):
-        x = np.linspace(-1.5, 1.5, 3001)
-        f = np.clip(1 - x**2, 0.0, None) ** 2
-        rep = calculus_bound_check(f, x[1] - x[0])
-        assert rep.passed
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            calculus_bound_check(np.array([0.0, -0.1, 0.0]), 0.1)
-
-    def test_2d(self):
-        x = np.linspace(-1.2, 1.2, 481)
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        f = np.where(
-            (np.abs(X) <= 1) & (np.abs(Y) <= 1),
-            np.cos(np.pi * X / 2) ** 2 * np.cos(np.pi * Y / 2) ** 2,
-            0.0,
-        )
-        rep = calculus_bound_check(f, x[1] - x[0])
-        assert rep.passed
-
-    def test_zero_function(self):
-        rep = calculus_bound_check(np.zeros(64), 0.1)
-        assert rep.passed
-
-
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(n=st.integers(1, 6), x=st.floats(1e-6, 3.0))
 def test_phi_below_abs_hypothesis(n, x):
     fam = build_family(n, SQRT)
