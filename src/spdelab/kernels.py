@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise DomainError(f"unknown kernel kind {self.kind!r}")
-        if not self.amplitude > 0:
-            raise DomainError("kernel amplitude must be > 0")
+        if not 0 < self.amplitude < math.inf:
+            raise DomainError("kernel amplitude must be finite and > 0")
         if self.dim < 1:
             raise DomainError("dimension must be a positive integer")
         if self.kind == "white" and self.dim != 1:

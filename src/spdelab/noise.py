@@ -24,7 +24,11 @@ autocovariance at every lag is one inverse DFT of its power spectrum.
 
 Randomness is counter-based: every (master_seed, replica_id, step_index)
 triple keys an independent Philox stream, so replicas and steps can be
-generated in any order, concurrently, with bit-identical results.
+generated in any order, concurrently, with bit-identical results.  Since the
+(key, counter) pair *is* a Philox generator's state (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11), the engine and the covariance
+check build one generator per call and re-key it for every draw
+(``_rekey``), which gives the bits of a new generator for that stream.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .errors import (
 from .kernels import KernelSpec, kernel_eval, riesz_spectral_constant
 
 _TWO32 = 1 << 32
+_ZERO4 = (0, 0, 0, 0)
 _MAGIC = b"SPDENZ1"
 _HEADER = struct.Struct("<7sIIddIdQQQ")
 _KIND_CODES = {"riesz": 0, "riesz-plus-constant": 1, "bounded-constant": 2, "white": 3}
@@ -131,7 +136,10 @@ class RngStream:
     """Counter-based RNG coordinates: (master_seed, replica_id, step_index).
 
     Distinct triples give statistically independent Philox streams; the same
-    triple always reproduces the same draws bit-for-bit.
+    triple always reproduces the same draws bit-for-bit.  :meth:`generator`
+    is the reference definition of a stream's draws; the engine gets the same
+    bits from one Philox re-keyed per draw (``_rekey``), because a Philox
+    generator's state is just its (key, counter) pair (Salmon et al., SC'11).
     """
 
     master_seed: int = 0xC0FFEE
@@ -145,15 +153,34 @@ class RngStream:
             raise DomainError("step_index must fit in 32 bits")
 
     def key(self) -> np.ndarray:
-        word0 = self.master_seed % (1 << 64)
-        word1 = self.replica_id * _TWO32 + self.step_index
-        return np.array([word0, word1], dtype=np.uint64)
+        return np.array(_key_words(self, self.step_index), dtype=np.uint64)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.key()))
 
     def at_step(self, step_index: int) -> "RngStream":
         return replace(self, step_index=step_index)
+
+
+def _key_words(stream: RngStream, step_index: int) -> tuple[int, int]:
+    """The two 64-bit Philox key words of ``stream`` at ``step_index``."""
+    return stream.master_seed % (1 << 64), stream.replica_id * _TWO32 + step_index
+
+
+def _rekey(rng: np.random.Generator, stream: RngStream, step_index: int) -> np.random.Generator:
+    """Reset the Philox of ``rng`` to the start of ``stream`` at ``step_index``:
+    its key, a zero counter, an empty buffer and no cached 32-bit half.  The
+    draws that follow are bitwise those of ``stream.at_step(step_index).generator()``,
+    and no generator is built.  ``step_index`` is not checked here."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": _key_words(stream, step_index)},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(eq=False)
@@ -222,21 +249,24 @@ def spectral_amplitudes(grid: GridSpec, kspec: KernelSpec) -> np.ndarray:
     return _amplitudes_cached(grid, kspec).copy()
 
 
-def _draw_spectrum(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Coefficients ``mode_std * z`` of one draw on the rfft half spectrum (last axis ``0..n/2``)."""
-    n, nh = grid.n, grid.n // 2 + 1
-    if grid.dim == 1:
-        g = rng.standard_normal((2, nh))
-        z = (g[0] + 1j * g[1]) * np.sqrt(0.5)
-        z[0] = g[0, 0]  # self-conjugate modes are real with unit variance
-        z[-1] = g[0, -1]
-        return mode_std[:nh] * z
-    g = rng.standard_normal((2, n, nh))
-    z = (g[0] + 1j * g[1]) * np.sqrt(0.5)
-    edge = z[:, :: n // 2]  # view of columns ky = 0, n/2: Hermitian along kx, as irfft2 needs
-    edge[:: n // 2] = g[0, :: n // 2, :: n // 2]  # self-conjugate modes
-    edge[n // 2 + 1:] = np.conj(edge[n // 2 - 1:0:-1])
-    return mode_std[:, :nh] * z
+def _draw_spectrum(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Write the coefficients ``mode_std * z`` of one draw on the rfft half
+    spectrum (last axis ``0..n/2``) into the complex array ``out``.
+
+    Each mode takes a normal pair ``g``: ``a * (g0 * sqrt(1/2))`` goes into
+    ``out.real`` and ``a * (g1 * sqrt(1/2))`` into ``out.imag``.  The
+    self-conjugate modes are real, ``a * g0``, and in 2-D the columns
+    ``ky = 0, n/2`` are then made Hermitian along ``kx``, as ``irfft2`` needs."""
+    n = grid.n
+    a = mode_std[..., : n // 2 + 1]
+    g = rng.standard_normal((2,) + out.shape)
+    np.multiply(a, g[0] * np.sqrt(0.5), out=out.real)
+    np.multiply(a, g[1] * np.sqrt(0.5), out=out.imag)
+    real = (slice(None, None, n // 2),) * grid.dim  # every axis at 0 and n/2
+    out[real] = a[real] * g[0][real]  # self-conjugate modes are real with unit variance
+    if grid.dim == 2:
+        edge = out[:, :: n // 2]
+        edge[n // 2 + 1:] = np.conj(edge[n // 2 - 1:0:-1])
 
 
 def _draw_power(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -250,7 +280,8 @@ def _draw_power(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) 
         power = (a * (g[0] * np.sqrt(0.5))) ** 2 + (a * (g[1] * np.sqrt(0.5))) ** 2
         power[[0, -1]] = (a[[0, -1]] * g[0, [0, -1]]) ** 2  # the real modes
         return power
-    s = _draw_spectrum(grid, mode_std, rng)
+    s = np.empty((grid.n, grid.n // 2 + 1), dtype=complex)
+    _draw_spectrum(grid, mode_std, rng, s)
     p = s.real**2 + s.imag**2
     inner = p[:, 1:-1].sum(axis=1)
     return (p[:, 0] + p[:, -1] + inner + np.roll(inner[::-1], 1))[: grid.n // 2 + 1]
@@ -269,7 +300,9 @@ def synthesize(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -
         raise InputError("mode_std shape does not match the grid")
     if not np.all(np.isfinite(mode_std)) or np.any(mode_std < 0):
         raise SpectralError("mode standard deviations must be finite and >= 0")
-    return _fields(grid, _draw_spectrum(grid, mode_std, rng)[None])[0]
+    spectrum = np.empty((1,) + grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    _draw_spectrum(grid, mode_std, rng, spectrum[0])
+    return _fields(grid, spectrum)[0]
 
 
 def _fields(grid: GridSpec, spectra: np.ndarray) -> np.ndarray:
@@ -310,7 +343,8 @@ def covariance_check(
     against ``grid.dt * k``.
 
     Each replica is one stream that contributes ``steps_per_replica``
-    independent increments (distinct step indices).  No field is formed: by
+    independent increments (distinct step indices), all drawn from one
+    generator re-keyed per draw.  No field is formed: by
     Wiener-Khinchin, ``mean(x * roll(x, g))`` of the field
     ``x = irfft(S, norm="forward")`` is ``irfft(n * |S|^2)[g]``, so each
     replica sums the power of its drawn spectra ``S`` (in 2-D, summed over
@@ -320,8 +354,8 @@ def covariance_check(
     (its variance is dominated by the grid-scale mollified singularity), so
     tight tolerances need ``steps_per_replica`` well above 1.
     """
-    if steps_per_replica < 1:
-        raise DomainError("steps_per_replica must be >= 1")
+    if not 1 <= steps_per_replica <= _TWO32:
+        raise DomainError("steps_per_replica must lie in [1, 2^32]")
     if replicas < 2:
         raise InsufficientDataError(f"need >= 2 replicas, got {replicas}", n_samples=replicas)
     offsets = [grid.cells(lag, lo=0) for lag in lags]
@@ -330,11 +364,12 @@ def covariance_check(
     amps = spectral_amplitudes(grid, kspec) * np.sqrt(grid.dt)
     n, nh = grid.n, grid.n // 2 + 1
     per_replica = np.empty((replicas, len(offsets)))
+    rng = np.random.Generator(np.random.Philox(0))  # re-keyed for every draw
     for r in range(replicas):
+        stream = RngStream(master_seed, r)
         power = np.zeros(nh)
         for m in range(steps_per_replica):
-            rng = RngStream(master_seed, r, m).generator()
-            power += _draw_power(grid, amps, rng)
+            power += _draw_power(grid, amps, _rekey(rng, stream, m))
         per_replica[r] = np.fft.irfft(n * power, n)[offsets] / steps_per_replica
     return [
         CovarianceRow(lag=float(lag), estimate=float(np.mean(col)),

@@ -26,6 +26,7 @@ converting a time back into a step.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .kernels import KernelSpec, semigroup_multiplier
 from .noise import GridSpec, RngStream, read_field
-from .noise import _amplitudes_cached, _draw_spectrum, _fields
+from .noise import _TWO32, _amplitudes_cached, _draw_spectrum, _fields, _rekey
 
 SIGMA_KINDS = ("lipschitz-linear", "holder-power", "sqrt-plus", "viot", "table")
 
@@ -67,8 +68,8 @@ class SigmaSpec:
     def __post_init__(self):
         if self.kind not in SIGMA_KINDS:
             raise DomainError(f"unknown sigma kind {self.kind!r}")
-        if not self.scale > 0:
-            raise DomainError("sigma scale must be > 0")
+        if not 0 < self.scale < math.inf:
+            raise DomainError("sigma scale must be finite and > 0")
         if self.gamma is None:
             default = {"lipschitz-linear": 1.0, "table": 1.0}.get(self.kind, 0.5)
             object.__setattr__(self, "gamma", default)
@@ -81,8 +82,8 @@ class SigmaSpec:
                 raise DomainError("table abscissae must be strictly increasing")
         if self.growth_c is None:
             object.__setattr__(self, "growth_c", self._default_growth())
-        if not self.growth_c > 0:
-            raise DomainError("growth_c must be > 0")
+        if not 0 < self.growth_c < math.inf:
+            raise DomainError("growth_c must be finite and > 0")
         self._verify_growth()
 
     def _default_growth(self) -> float:
@@ -157,8 +158,8 @@ class InitialCondition:
     def __post_init__(self):
         if self.kind not in ("constant", "sine", "bump", "file"):
             raise DomainError(f"unknown initial condition kind {self.kind!r}")
-        if self.kind == "bump" and not self.width > 0:
-            raise DomainError("bump width must be > 0")
+        if self.kind == "bump" and not 0 < self.width < math.inf:
+            raise DomainError("bump width must be finite and > 0")
         if self.kind == "file" and not self.path:
             raise DomainError("file initial condition needs a path")
 
@@ -251,8 +252,12 @@ def _integrate(
     with the integer step of each row.
 
     Step ``m`` draws replica ``r``'s ``dW`` from ``streams[r].at_step(m - 1)``
-    (row ``r`` of the stacked draws is bitwise ``synthesize`` of that stream)
-    and broadcasts it over that replica's legs; the step is then
+    and broadcasts it over that replica's legs.  The call builds one Philox
+    generator and re-keys it for each draw, so its draws are bitwise those of
+    ``streams[r].at_step(m - 1).generator()`` (row ``r`` of the draws is
+    bitwise ``synthesize`` of that stream).  The draws are written into one
+    ``(replicas, *half-spectrum)`` buffer, and step indices past the 32 bits
+    of a stream are rejected before step 1.  The step is then
     ``u + sigma(u) dW`` followed by the heat semigroup's FFT pair.  The FFTs
     transform each (replica, leg) row independently, so every row is bitwise
     the run it would be on its own.  A blow-up stops the batch at the first
@@ -292,10 +297,15 @@ def _integrate(
         ]
 
     last = steps[-1] if steps else 0
+    if last - 1 >= _TWO32:
+        raise DomainError(f"snapshot step {last} needs step index {last - 1}, past the 32 bits of a stream")
+    rng = np.random.Generator(np.random.Philox(0))  # re-keyed for every draw
+    spectra = np.empty((len(streams),) + multiplier.shape, dtype=complex)
     for m in range(last + 1):
         if m > 0:
-            spectra = [_draw_spectrum(grid, mode_std, s.at_step(m - 1).generator()) for s in streams]
-            dw = _fields(grid, np.stack(spectra))[:, None]
+            for s, spectrum in zip(streams, spectra):
+                _draw_spectrum(grid, mode_std, _rekey(rng, s, m - 1), spectrum)
+            dw = _fields(grid, spectra)[:, None]
             # overflowing states produce inf/nan here, turned into a blow-up
             # error with the offending step index just below
             with np.errstate(invalid="ignore", over="ignore"):

@@ -212,6 +212,16 @@ class TestExitCodes:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("precondition error:")
 
+    @pytest.mark.parametrize(
+        "command, setting",
+        [("simulate", "kernel.amplitude=inf"), ("simulate", "sigma.scale=inf"),
+         ("simulate", "sigma.growth_c=inf"), ("uniqueness", "pair.width=inf")],
+    )
+    def test_non_finite_spec_value_is_3(self, tmp_path, command, setting):
+        proc = run_cli([command, "--set", "grid.n=32", "--set", setting, "--out", str(tmp_path / "o")])
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("precondition error:")
+
     def test_small_value_eps_beyond_half_grid_is_3(self, tmp_path):
         # a 40-cell window on n=64 would wrap the whole torus
         code = main(["small-value", "--set", "grid.n=64", "--set", "smallvalue.eps_cells=4,40",

@@ -22,8 +22,8 @@ from spdelab.noise import (
     synthesize,
     write_field,
 )
-from spdelab.noise import _amplitudes_cached, _draw_spectrum, _fields
-from spdelab.solver import InitialCondition, SigmaSpec, simulate
+from spdelab.noise import _TWO32, _amplitudes_cached, _draw_spectrum, _fields, _rekey
+from spdelab.solver import InitialCondition, SigmaSpec, simulate, simulate_pairs
 
 
 def grid1d(n=512, l=1.0, **kw):
@@ -163,6 +163,62 @@ class TestRngStream:
             RngStream(1, 1 << 32, 0)
 
 
+class TestRekey:
+    """One Philox re-keyed per draw gives the bits of a new generator for that stream."""
+
+    @staticmethod
+    def dirty(rng):
+        rng.integers(0, _TWO32, dtype=np.uint32)  # caches the other 32-bit half of a word
+        rng.bit_generator.random_raw(1)
+        if rng.bit_generator.state["buffer_pos"] == 4:
+            rng.bit_generator.random_raw(1)  # leave a 4-word Philox block part read
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+        return rng
+
+    @pytest.mark.parametrize("shape", [(2, 129), (2, 16, 9)], ids=["1d", "2d"])
+    @pytest.mark.parametrize(
+        "seed, replica, step",
+        [(0xC0FFEE, 0, 0), (7, 3, 11), (-1, _TWO32 - 1, _TWO32 - 1), ((1 << 70) + 5, 2, _TWO32 - 1)],
+    )
+    def test_matches_a_new_generator(self, shape, seed, replica, step):
+        stream = RngStream(seed, replica)
+        rng = np.random.Generator(np.random.Philox(0))
+        for _ in range(2):  # the second re-key starts from the state the first draw left
+            got = _rekey(self.dirty(rng), stream, step).standard_normal(shape)
+            assert np.array_equal(got, stream.at_step(step).generator().standard_normal(shape))
+
+
+class TestOnePhiloxPerCall:
+    """Per-draw generator construction stays out of the engine and the covariance check."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        return calls
+
+    def test_integrate(self, built):
+        g = grid1d(n=32)
+        k = KernelSpec(kind="riesz", alpha=0.5)
+        bump = InitialCondition(kind="bump", width=0.1)
+        streams = [RngStream(5, r) for r in range(3)]
+        pairs = simulate_pairs(g, k, SigmaSpec(), InitialCondition(value=1.0), bump, [0.1], streams, [50 * g.dt])
+        assert [p.traj_a.steps for (p,) in pairs] == [(50,)] * 3
+        assert len(built) == 1
+
+    def test_covariance_check(self, built):
+        g = grid1d(n=64)
+        covariance_check(g, KernelSpec(kind="riesz", alpha=0.5), [4 * g.h], replicas=3, steps_per_replica=5)
+        assert len(built) == 1
+
+
 class TestSpectralAmplitudes:
     def test_white_flat(self):
         g = grid1d(n=128, l=2.0)
@@ -287,7 +343,9 @@ class TestSampleIncrement:
         # a stack of 2-D spectra: each row is bitwise that spectrum transformed alone
         g = GridSpec(dim=2, n=32, l=1.0, t_end=1.0)
         std = spectral_amplitudes(g, KernelSpec(kind="riesz", alpha=1.0, dim=2))
-        spectra = np.stack([_draw_spectrum(g, std, RngStream(8, r, 3).generator()) for r in range(3)])
+        spectra = np.empty((3, g.n, g.n // 2 + 1), dtype=complex)
+        for r, spectrum in enumerate(spectra):
+            _draw_spectrum(g, std, RngStream(8, r, 3).generator(), spectrum)
         stacked = _fields(g, spectra)
         assert stacked.shape == (3,) + g.shape
         for row, spectrum in zip(stacked, spectra):

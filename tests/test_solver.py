@@ -13,6 +13,7 @@ from spdelab.noise import (
     synthesize,
     write_field,
 )
+from spdelab import solver
 from spdelab.solver import (
     InitialCondition,
     SigmaSpec,
@@ -354,6 +355,24 @@ class TestSteps:
             simulate_pairs(g, k, sig, u0, pert, [0.1], [RngStream(2)], times)
         (pair,) = exc.value.partial_pairs
         assert len(pair.diffs) == len(pair.traj_b.values) == len(pair.traj_b.steps) == len(traj.steps)
+
+
+class Stepped(Exception):
+    pass
+
+
+class TestStepIndexBits:
+    """Step ``m`` draws at stream step index ``m - 1``, which must fit in 32 bits."""
+
+    @pytest.mark.parametrize("last, error", [(2**32 + 1, DomainError), (2**32, Stepped)])
+    def test_checked_before_step_one(self, monkeypatch, last, error):
+        def draw(*args):
+            raise Stepped
+
+        monkeypatch.setattr(solver, "_draw_spectrum", draw)
+        g = GridSpec(dim=1, n=4, l=1.0, dt=1.0, t_end=1.0)
+        with pytest.raises(error):
+            simulate(g, KernelSpec(kind="white"), SigmaSpec(), InitialCondition(), RngStream(1), [float(last)])
 
 
 class TestSimulatePair:
