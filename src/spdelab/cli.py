@@ -37,9 +37,10 @@ from .errors import (
     SpectralError,
 )
 from .estimators import (
+    _holder_reports,
+    _replica_moments,
     conditional_regularity,
     default_conditioning_exponent,
-    holder_exponent,
     uniqueness_gap,
 )
 from .kernels import classify_regime
@@ -52,16 +53,16 @@ from .oracles import (
     verify_jest,
     verify_pdiffest,
 )
-from .solver import InitialCondition, simulate, simulate_pairs, simulate_replicas
+from .solver import InitialCondition, simulate, simulate_pairs
 from .ywtools import RhoSpec, a_sequence, build_family, delta_approx_check
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("SPDELAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """``SPDELAB_THREADS``: a positive integer, 1 when unset or empty."""
+    raw = os.environ.get("SPDELAB_THREADS") or "1"
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"SPDELAB_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _run_replicas(cfg: ExperimentConfig, batch):
@@ -118,9 +119,10 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 
 
 def _default_snapshots(grid, every: int):
+    if not every >= 1:
+        raise DomainError(f"snapshot stride must be at least 1 step, got {every}")
     total = int(round(grid.t_end / grid.dt))
-    steps = range(0, total + 1, max(1, every))
-    return [m * grid.dt for m in steps]
+    return [m * grid.dt for m in range(0, total + 1, every)]
 
 
 # ---------------------------------------------------------------- subcommands
@@ -198,25 +200,15 @@ def _cmd_simulate(cfg: ExperimentConfig, gated: bool) -> int:
     return 0
 
 
-def _holder_trajectories(cfg: ExperimentConfig):
-    grid, kspec, sspec = cfg.grid(), cfg.kernel(), cfg.sigma()
-    times = _default_snapshots(grid, cfg.get_int("holder.snap_every"))
-    return grid, _run_replicas(
-        cfg, lambda streams: simulate_replicas(grid, kspec, sspec, cfg.u0(), streams, times)
-    )
-
-
 def _cmd_holder(cfg: ExperimentConfig, gated: bool) -> int:
-    grid, trajs = _holder_trajectories(cfg)
-    p = cfg.get_float("holder.p")
-    order = cfg.get_int("holder.order")
-    cells = cfg.get_ints("holder.lags")
-    tsteps = cfg.get_ints("holder.tsteps")
-    space_lags = [g * grid.h for g in cells]
-    time_lags = [m * grid.dt for m in tsteps]
-
-    rep_s = holder_exponent(trajs, p=p, direction="space", lags=space_lags, order=order)
-    rep_t = holder_exponent(trajs, p=p, direction="time", lags=time_lags, order=1)
+    grid, kspec, sspec = cfg.grid(), cfg.kernel(), cfg.sigma()
+    p, order = cfg.get_float("holder.p"), cfg.get_int("holder.order")
+    space_lags = [g * grid.h for g in cfg.get_ints("holder.lags")]
+    time_lags = [m * grid.dt for m in cfg.get_ints("holder.tsteps")]
+    times = _default_snapshots(grid, cfg.get_int("holder.snap_every"))
+    scalars = _run_replicas(cfg, lambda streams: _replica_moments(
+        grid, kspec, sspec, cfg.u0(), streams, times, p, space_lags, time_lags, order))
+    rep_s, rep_t = _holder_reports(grid, scalars, p, space_lags, time_lags, order)
 
     out = _outdir(cfg)
     _write_csv(

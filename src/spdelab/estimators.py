@@ -12,18 +12,20 @@ of a finite-horizon run, which otherwise leak into first differences and
 flatten the measured slope.  First differences remain the default and the
 contractual meaning of :func:`structure_function`.
 
-Every estimator here shares one structure-function path: one periodic
-increment helper and one window, ``[grid.t_min, grid.t_end]``, selected from
-a trajectory's ``times`` as a slice of its ``values`` rows (a view, never a
-copy).  The one lattice check is the grid's: :meth:`GridSpec.cells` turns a
-spatial lag or a conditioning scale ``eps`` into whole cells (to 1e-9 of a
-cell, in ``[1, n/2]``), and :meth:`GridSpec.steps` turns a time lag into
-whole ``dt`` steps (to 1e-6 of a step, at least one); anything else is an
-InputError.  Snapshots are
-matched by their recorded ``steps``, each to the one exactly the lag's number
-of steps later.  Every exponent is the slope of the package's one log-log
-least-squares fit, divided by ``p``; a :class:`HolderReport` keeps the
-MomentRows it fitted in ``rows``.
+Every estimator here shares one periodic increment helper and one window,
+``[grid.t_min, grid.t_end]``.  Structure-function moments are streamed:
+``_Moments`` takes one snapshot at a time, as the engine's observer
+(``holder``) or replaying stored rows (:func:`structure_function`), keeps
+per-snapshot scalars and only the rows the longest time lag still needs, and
+reduces them at the end in one fixed order.  The one lattice check is the
+grid's: :meth:`GridSpec.cells` turns a spatial lag or a conditioning scale
+``eps`` into whole cells (to 1e-9 of a cell, in ``[1, n/2]``), and
+:meth:`GridSpec.steps` turns a time lag into whole ``dt`` steps (to 1e-6 of a
+step, at least one); anything else is an InputError, raised after the run in
+lag order.  Snapshots are matched by their recorded ``steps``, each to the one
+exactly the lag's number of steps later.  ``p`` must be finite and > 0.  Every
+exponent is the slope of the package's one log-log least-squares fit, divided
+by ``p``; a :class:`HolderReport` keeps the MomentRows it fitted in ``rows``.
 
 Small-value conditioning restricts the anchors of the structure function to
 space-time points where the difference field of a coupled pair is below
@@ -34,7 +36,8 @@ small values.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +45,7 @@ from scipy.ndimage import minimum_filter1d
 
 from ._fit import fit_loglog
 from .errors import DomainError, InputError, InsufficientDataError
-from .solver import SolutionPair, Trajectory
+from .solver import SolutionPair, Trajectory, _integrate
 
 _WINDOW_TOL = 1e-9
 
@@ -75,101 +78,132 @@ class HolderReport:
     rows: tuple = ()
 
 
-def _as_traj_list(trajs) -> list[Trajectory]:
-    if isinstance(trajs, Trajectory):
-        return [trajs]
-    out = list(trajs)
-    if not out:
-        raise InputError("no trajectories given")
-    return out
-
-
-def _window_slice(grid, times) -> slice:
-    """The snapshot rows whose times lie in ``[grid.t_min, grid.t_end]``: a
-    slice, so that the rows it selects are a view, not a copy (``times`` are
-    increasing)."""
+def _in_window(grid, time) -> bool:
+    """Whether a snapshot time lies in the one window, ``[t_min, t_end]`` widened by its tolerance."""
     tol = _WINDOW_TOL * max(1.0, abs(grid.t_end))
-    return slice(bisect_left(times, grid.t_min - tol), bisect_right(times, grid.t_end + tol))
+    return grid.t_min - tol <= time <= grid.t_end + tol
 
 
-def _increment_power(values, p, order=1, cells=0, later=None) -> np.ndarray:
-    """``|increment|^p`` at every anchor: ``later - values`` for a time lag,
-    else the periodic order-1 or order-2 difference at ``cells`` along axis 0."""
-    if later is not None:
-        diff = later - values
-    elif order == 1:
-        diff = np.roll(values, -cells, axis=0) - values
-    else:
-        diff = np.roll(values, -cells, axis=0) - 2.0 * values + np.roll(values, cells, axis=0)
-    return np.abs(diff) ** p
+def _require_p(p):
+    if not 0 < p < math.inf:
+        raise DomainError(f"moment order p must be finite and > 0, got {p}")
 
 
-def structure_function(
-    trajs,
-    p: float = 2.0,
-    direction: str = "space",
-    lags=None,
-    order: int = 1,
-) -> list[MomentRow]:
+def _lag_units(grid, direction, lag, defer=False):
+    """A lag in whole cells (space) or whole ``dt`` steps, at least one (time); with ``defer``,
+    0 off the lattice, whose error ``_moment_rows`` raises before it reads that lag."""
+    try:
+        return grid.cells(lag) if direction == "space" else grid.steps(lag, lo=1)
+    except InputError:
+        if not defer:
+            raise
+        return 0
+
+
+def _increment_powers(rows, p, order, cells):
+    """``|increment|^p`` at every anchor of each row of ``rows``, one array per
+    lag in ``cells``: the periodic order-1 or order-2 difference along the rows'
+    first axis, as slices of the rows wrapped once (bitwise ``np.roll``'s)."""
+    n = rows.shape[1]
+    wrapped = np.concatenate([rows, rows], axis=1)
+    here = rows if order == 1 else 2.0 * rows
+    for c in cells:
+        diff = wrapped[:, c:c + n] - here
+        yield np.abs(diff if order == 1 else diff + wrapped[:, n - c:2 * n - c]) ** p
+
+
+def _row_means(powers) -> list:
+    """The mean of each row of ``powers`` over its anchors, bitwise ``np.mean`` of that row."""
+    return np.mean(powers.reshape(len(powers), -1), axis=-1).tolist()
+
+
+class _Moments:
+    """Structure-function moments fed one snapshot at a time, as the observer
+    ``(step, time, stack)`` of ``solver._integrate`` (leg 0).  Each in-window
+    snapshot adds, per replica and lag, the anchor mean of ``|increment|^p``:
+    of the row at a spatial lag, or of the row minus the kept row a time lag
+    earlier.  Only rows that a later snapshot can still pair with are kept.
+    ``scalars[r][direction][i]`` are replica ``r``'s scalars at lag ``i``."""
+
+    def __init__(self, grid, replicas, p, space_lags=(), time_lags=(), order=1):
+        _require_p(p)
+        if order not in (1, 2):
+            raise DomainError("order must be 1 or 2")
+        self.grid, self.p, self.order, self.kept = grid, p, order, {}
+        self.cells = [_lag_units(grid, "space", lag, defer=True) for lag in space_lags]
+        self.lags = [_lag_units(grid, "time", lag, defer=True) for lag in time_lags]
+        self.longest = max(self.lags, default=0)
+        self.scalars = [{"space": [array("d") for _ in self.cells], "time": [array("d") for _ in self.lags]}
+                        for _ in range(replicas)]
+
+    def __call__(self, step, time, stack):
+        if not _in_window(self.grid, time):
+            return
+        rows = stack[:, 0]
+        for i, powers in enumerate(_increment_powers(rows, self.p, self.order, self.cells)):
+            for out, value in zip(self.scalars, _row_means(powers)):
+                out["space"][i].append(value)
+        for i, m in enumerate(self.lags):
+            if m and step - m in self.kept:
+                for out, value in zip(self.scalars, _row_means(np.abs(rows - self.kept[step - m]) ** self.p)):
+                    out["time"][i].append(value)
+        self.kept = {k: kept for k, kept in self.kept.items() if k > step - self.longest}
+        if self.longest:
+            self.kept[step] = rows.copy()
+
+
+def _replica_moments(grid, kspec, sspec, u0_spec, streams, snapshot_times, p, space_lags, time_lags, order=1):
+    """``_Moments.scalars`` of one batch of ``streams``, keeping no snapshot."""
+    moments = _Moments(grid, len(streams), p, space_lags, time_lags, order)
+    _integrate(grid, kspec, sspec, u0_spec, [[u0_spec.evaluate(grid)]] * len(streams), streams,
+               snapshot_times, moments)
+    return moments.scalars
+
+
+def _moment_rows(grid, scalars, lags, direction) -> list[MomentRow]:
+    """One MomentRow per lag from per-replica ``_Moments.scalars``, checked in lag order (lattice,
+    then anchors): each replica's mean, then the mean and standard error over replicas."""
+    if not scalars:
+        raise InputError("no trajectories given")
+    rows = []
+    for i, lag in enumerate(lags):
+        _lag_units(grid, direction, lag)
+        per_replica = [s[direction][i] for s in scalars]
+        n_anchors = sum(map(len, per_replica)) * grid.n_cells
+        if n_anchors < 100:
+            raise InsufficientDataError(f"only {n_anchors} anchor samples at lag {lag} (need >= 100)",
+                                        n_samples=n_anchors)
+        means = np.asarray([np.mean(v) for v in per_replica if v])
+        se = float(np.std(means, ddof=1) / np.sqrt(len(means))) if len(means) > 1 else 0.0
+        rows.append(MomentRow(lag=float(lag), moment=float(np.mean(means)), stderr=se, n_samples=n_anchors))
+    return rows
+
+
+def structure_function(trajs, p: float = 2.0, direction: str = "space", lags=None,
+                       order: int = 1) -> list[MomentRow]:
     """Moment table of field increments over all anchors in the window.
 
     Spatial lags are physical separations (multiples of the grid spacing).
     Temporal lags must lie on the ``dt`` lattice; each snapshot is paired,
     by its recorded step, with the one exactly the lag's number of steps
-    later, if it was recorded.  The standard error at each lag
-    is the spread of the per-trajectory means.
+    later, if it was recorded.  The standard error at each lag is the spread
+    of the per-trajectory means.  The rows are replayed through ``_Moments``.
     """
-    trajs = _as_traj_list(trajs)
-    grid = trajs[0].grid
+    trajs = [trajs] if isinstance(trajs, Trajectory) else list(trajs)
+    grid = trajs[0].grid if trajs else None  # no trajectories: _moment_rows raises
     if direction not in ("space", "time"):
         raise DomainError("direction must be 'space' or 'time'")
-    if order not in (1, 2):
-        raise DomainError("order must be 1 or 2")
     if order == 2 and direction == "time":
         raise DomainError("order-2 increments are supported in space only")
     if lags is None:
         raise DomainError("lags must be given")
-    windows = [_window_slice(grid, traj.times) for traj in trajs]
-    snaps = [traj.values[w] for traj, w in zip(trajs, windows)]
-    if direction == "time":
-        by_step = [dict(zip(traj.steps[w], arr)) for traj, w, arr in zip(trajs, windows, snaps)]
-
-    rows = []
-    for lag in lags:
-        per_traj = []
-        n_anchors = 0
-        if direction == "space":
-            cells = grid.cells(lag)
-            for arr in snaps:
-                if len(arr):
-                    moments = [np.mean(_increment_power(row, p, order, cells)) for row in arr]
-                    per_traj.append(np.mean(moments))
-                    n_anchors += len(arr) * grid.n_cells
-        else:
-            m = grid.steps(lag, lo=1)
-            for at_step in by_step:
-                vals = [
-                    np.mean(_increment_power(row, p, later=at_step[k + m]))
-                    for k, row in at_step.items()
-                    if k + m in at_step
-                ]
-                if vals:
-                    per_traj.append(np.mean(vals))
-                    n_anchors += len(vals) * grid.n_cells
-        if n_anchors < 100:
-            raise InsufficientDataError(
-                f"only {n_anchors} anchor samples at lag {lag} (need >= 100)",
-                n_samples=n_anchors,
-            )
-        per_traj = np.asarray(per_traj)
-        est = float(np.mean(per_traj))
-        se = (
-            float(np.std(per_traj, ddof=1) / np.sqrt(len(per_traj)))
-            if len(per_traj) > 1
-            else 0.0
-        )
-        rows.append(MomentRow(lag=float(lag), moment=est, stderr=se, n_samples=n_anchors))
-    return rows
+    scalars = []
+    for traj in trajs:
+        moments = _Moments(grid, 1, p, order=order, **{f"{direction}_lags": lags})
+        for step, t, row in zip(traj.steps, traj.times, traj.values):
+            moments(step, t, row[None, None])
+        scalars += moments.scalars
+    return _moment_rows(grid, scalars, lags, direction)
 
 
 def _require_octaves(lags):
@@ -181,7 +215,7 @@ def _require_octaves(lags):
     return lags
 
 
-def _fit_report(rows, direction, p, order, n_samples) -> HolderReport:
+def _fit_report(rows, direction, p, order, n_samples=None) -> HolderReport:
     slope, slope_se = fit_loglog([r.lag for r in rows], [r.moment for r in rows])
     return HolderReport(
         direction=direction,
@@ -191,22 +225,22 @@ def _fit_report(rows, direction, p, order, n_samples) -> HolderReport:
         exponent=slope / p,
         stderr=max(slope_se / p, 1e-15),
         order=order,
-        n_samples=n_samples,
+        n_samples=sum(r.n_samples for r in rows) if n_samples is None else n_samples,
         rows=tuple(rows),
     )
 
 
-def holder_exponent(
-    trajs,
-    p: float = 2.0,
-    direction: str = "space",
-    lags=None,
-    order: int = 1,
-) -> HolderReport:
+def holder_exponent(trajs, p: float = 2.0, direction: str = "space", lags=None,
+                    order: int = 1) -> HolderReport:
     """Scaling-exponent estimate: log-log slope of the structure function over p."""
-    lags = _require_octaves(lags)
-    rows = structure_function(trajs, p=p, direction=direction, lags=lags, order=order)
-    return _fit_report(rows, direction, p, order, sum(r.n_samples for r in rows))
+    rows = structure_function(trajs, p=p, direction=direction, lags=_require_octaves(lags), order=order)
+    return _fit_report(rows, direction, p, order)
+
+
+def _holder_reports(grid, scalars, p, space_lags, time_lags, order) -> list[HolderReport]:
+    """``holder_exponent`` in space (order ``order``), then time, of per-replica ``_Moments.scalars``."""
+    return [_fit_report(_moment_rows(grid, scalars, _require_octaves(lags), d), d, p, k)
+            for d, lags, k in (("space", space_lags, order), ("time", time_lags, 1))]
 
 
 def critical_exponent_limit(alpha: float, gamma: float) -> float:
@@ -287,19 +321,20 @@ def conditional_regularity(
         raise InputError("pairs must share a grid")
     if grid.dim != 1:
         raise DomainError("small-value conditioning is implemented for dim 1")
+    _require_p(p)
     if lags is None:
         lags = [grid.h * g for g in (1, 2, 4, 8)]
     lags = _require_octaves(lags)
     cells = [grid.cells(lag) for lag in lags]
 
-    snaps = [row for pr in pairs for row in pr.diffs[_window_slice(grid, pr.times)]]
+    snaps = [row for pr in pairs for t, row in zip(pr.times, pr.diffs) if _in_window(grid, t)]
     if not snaps:
         raise InputError("no difference snapshots in window")
     if max(float(np.max(np.abs(row))) for row in snaps) == 0.0:
         raise DomainError("conditioning degenerate: difference field is identically zero")
 
-    # each snapshot's |increment|^p at each lag, computed once for every fit
-    powers = [[_increment_power(row, p, order, c) for row in snaps] for c in cells]
+    # each snapshot's |increment|^p at each lag, computed once for every fit, one row at a time
+    powers = list(zip(*[[pw[0] for pw in _increment_powers(row[None], p, order, cells)] for row in snaps]))
 
     def report(masks):
         """Fit of the anchor-pooled moments; ``masks[i]`` selects snapshot

@@ -202,27 +202,12 @@ class Trajectory:
     complete: bool = True
 
 
-def _fingerprint(parts: dict) -> str:
+def config_fingerprint(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: InitialCondition,
+                       stream: RngStream) -> str:
+    parts = {"grid": repr(grid), "kernel": repr(kspec), "sigma": repr(sspec), "u0": repr(u0_spec),
+             "seed": (stream.master_seed, stream.replica_id)}
     text = "\n".join(f"{k} = {parts[k]}" for k in sorted(parts))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def config_fingerprint(
-    grid: GridSpec,
-    kspec: KernelSpec,
-    sspec: SigmaSpec,
-    u0_spec: InitialCondition,
-    stream: RngStream,
-) -> str:
-    return _fingerprint(
-        {
-            "grid": repr(grid),
-            "kernel": repr(kspec),
-            "sigma": repr(sspec),
-            "u0": repr(u0_spec),
-            "seed": (stream.master_seed, stream.replica_id),
-        }
-    )
 
 
 def _snapshot_steps(grid: GridSpec, snapshot_times) -> dict[int, float]:
@@ -234,36 +219,25 @@ def _snapshot_steps(grid: GridSpec, snapshot_times) -> dict[int, float]:
     return dict(zip(steps, times))
 
 
-def _integrate(
-    grid: GridSpec,
-    kspec: KernelSpec,
-    sspec: SigmaSpec,
-    u0_spec: InitialCondition,
-    legs0,
-    streams,
-    snapshot_times,
-    clip: bool = False,
-) -> list[list[Trajectory]]:
+def _integrate(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: InitialCondition,
+               legs0, streams, snapshot_times, observe, clip: bool = False):
     """Step the initial fields ``legs0``, nested ``[replica][leg]``, as one
-    ``(replicas, legs, *grid)`` stack; returns Trajectories nested the same way.
-
-    Snapshots go into one ``(snapshots, replicas, legs, *grid)`` buffer, and
-    the Trajectory of (replica ``r``, leg ``k``) holds the view ``buf[:, r, k]``
-    with the integer step of each row.
+    ``(replicas, legs, *grid)`` stack, and call ``observe(step, time, stack)``
+    at every snapshot step; returns the ``(replicas, legs)`` clip statistics
+    ``(count, max)``.  The engine keeps no snapshot; its observer copies what
+    it needs (``_recorded``: every row; ``estimators._Moments``: scalars).
 
     Step ``m`` draws replica ``r``'s ``dW`` from ``streams[r].at_step(m - 1)``
     and broadcasts it over that replica's legs.  The call builds one Philox
     generator and re-keys it for each draw, so its draws are bitwise those of
-    ``streams[r].at_step(m - 1).generator()`` (row ``r`` of the draws is
-    bitwise ``synthesize`` of that stream).  The draws are written into one
-    ``(replicas, *half-spectrum)`` buffer, and step indices past the 32 bits
-    of a stream are rejected before step 1.  The step is then
-    ``u + sigma(u) dW`` followed by the heat semigroup's FFT pair.  The FFTs
-    transform each (replica, leg) row independently, so every row is bitwise
-    the run it would be on its own.  A blow-up stops the batch at the first
-    step where any replica is non-finite; the BlowUpError names that step, the
-    lowest replica id at it and that replica's config fingerprint, and carries
-    its ``partial_trajectories`` (``complete=False``): the rows recorded so far.
+    ``streams[r].at_step(m - 1).generator()``, into one ``(replicas,
+    *half-spectrum)`` buffer; step indices past the 32 bits of a stream are
+    rejected before step 1.  The step is then ``u + sigma(u) dW`` followed by
+    the heat semigroup's FFT pair, per (replica, leg) row, so every row is
+    bitwise the run it would be on its own.  A blow-up stops the batch at the
+    first non-finite step; the BlowUpError names that step, the lowest replica
+    id at it and its config fingerprint, and carries its batch ``row`` and the
+    ``clip_stats`` so far, for the caller to read its observer's partial record.
     """
     dt = grid.dt
     want = _snapshot_steps(grid, snapshot_times)
@@ -278,25 +252,11 @@ def _integrate(
     u = np.array(legs0, dtype=float)
     shape = u.shape[:2]
     grid_axes = tuple(range(2, u.ndim))
-    fingerprints = [config_fingerprint(grid, kspec, sspec, u0_spec, s) for s in streams]
     hi = 1.0 if sspec.kind == "viot" else np.inf
-
-    buf = np.empty((len(want),) + u.shape)
-    steps = tuple(want)
-    times = tuple(want.values())
-    done = 0
     clip_count = np.zeros(shape, dtype=np.int64)
     clip_max = np.zeros(shape)
 
-    def trajectories(r: int, complete: bool) -> list[Trajectory]:
-        return [
-            Trajectory(fingerprint=fingerprints[r], grid=grid, times=times[:done], steps=steps[:done],
-                       values=buf[:done, r, k], clip_count=int(clip_count[r, k]),
-                       clip_max=float(clip_max[r, k]), complete=complete)
-            for k in range(shape[1])
-        ]
-
-    last = steps[-1] if steps else 0
+    last = max(want, default=0)
     if last - 1 >= _TWO32:
         raise DomainError(f"snapshot step {last} needs step index {last - 1}, past the 32 bits of a stream")
     rng = np.random.Generator(np.random.Philox(0))  # re-keyed for every draw
@@ -315,8 +275,9 @@ def _integrate(
                 r = int(np.argmin(finite.reshape(shape[0], -1).all(axis=1)))
                 rid = streams[r].replica_id
                 err = BlowUpError(f"non-finite values at step {m} (t={m * dt}) in replica {rid}",
-                                  step_index=m, replica_id=rid, fingerprint=fingerprints[r])
-                err.partial_trajectories = trajectories(r, complete=False)
+                                  step_index=m, replica_id=rid,
+                                  fingerprint=config_fingerprint(grid, kspec, sspec, u0_spec, streams[r]))
+                err.row, err.clip_stats = r, (clip_count, clip_max)
                 raise err
             if clip:
                 mask = (u < 0.0) | (u > hi)
@@ -326,27 +287,45 @@ def _integrate(
                     clip_max = np.maximum(clip_max, np.max(np.abs(u - clipped), axis=grid_axes))
                     u = clipped
         if m in want:
-            buf[done] = u
-            done += 1
-    return [trajectories(r, complete=True) for r in range(shape[0])]
+            observe(m, want[m], u)
+    return clip_count, clip_max
 
 
-def simulate_replicas(
-    grid: GridSpec,
-    kspec: KernelSpec,
-    sspec: SigmaSpec,
-    u0_spec: InitialCondition,
-    streams,
-    snapshot_times,
-    clip: bool = False,
-) -> list[Trajectory]:
+def _recorded(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: InitialCondition,
+              legs0, streams, snapshot_times, clip: bool = False) -> list[list[Trajectory]]:
+    """``_integrate`` recording every snapshot: Trajectories ``[replica][leg]``, views ``buf[:, r, k]`` of
+    one buffer.  A blow-up error carries its replica's ``partial_trajectories`` (``complete=False``)."""
+    snapshot_times = list(snapshot_times)
+    buf = np.empty((len(snapshot_times), len(legs0), len(legs0[0])) + grid.shape)
+    steps, times = [], []
+
+    def record(step, time, stack):
+        buf[len(steps)] = stack
+        steps.append(step)
+        times.append(time)
+
+    def trajectories(r: int, clip_count, clip_max, complete: bool) -> list[Trajectory]:
+        return [Trajectory(config_fingerprint(grid, kspec, sspec, u0_spec, streams[r]), grid, tuple(times),
+                           tuple(steps), buf[:len(steps), r, k], int(clip_count[r, k]), float(clip_max[r, k]),
+                           complete) for k in range(buf.shape[2])]
+
+    try:
+        clips = _integrate(grid, kspec, sspec, u0_spec, legs0, streams, snapshot_times, record, clip)
+    except BlowUpError as err:
+        err.partial_trajectories = trajectories(err.row, *err.clip_stats, complete=False)
+        raise
+    return [trajectories(r, *clips, complete=True) for r in range(len(streams))]
+
+
+def simulate_replicas(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: InitialCondition,
+                      streams, snapshot_times, clip: bool = False) -> list[Trajectory]:
     """Integrate one trajectory per stream as one batch; entry ``r`` is
     bitwise ``simulate`` with ``streams[r]``.  A blow-up error carries the
     ``partial_trajectory`` of the replica it names.
     """
     legs0 = [[u0_spec.evaluate(grid)]] * len(streams)
     try:
-        batch = _integrate(grid, kspec, sspec, u0_spec, legs0, streams, snapshot_times, clip)
+        batch = _recorded(grid, kspec, sspec, u0_spec, legs0, streams, snapshot_times, clip)
     except BlowUpError as err:
         (err.partial_trajectory,) = err.partial_trajectories
         raise
@@ -405,16 +384,9 @@ def _pairs(deltas, trajs: list[Trajectory]) -> list[SolutionPair]:
     ]
 
 
-def simulate_pairs(
-    grid: GridSpec,
-    kspec: KernelSpec,
-    sspec: SigmaSpec,
-    u0_spec: InitialCondition,
-    perturbation: InitialCondition | None,
-    deltas,
-    streams,
-    snapshot_times,
-) -> list[list[SolutionPair]]:
+def simulate_pairs(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: InitialCondition,
+                   perturbation: InitialCondition | None, deltas, streams,
+                   snapshot_times) -> list[list[SolutionPair]]:
     """Coupled pairs for every delta and every stream in one batch.
 
     Each replica steps legs ``[u0] + [u0 + d * perturbation for d in deltas]``
@@ -428,7 +400,7 @@ def simulate_pairs(
     pert = perturbation.evaluate(grid) if perturbation is not None and any(deltas) else None
     legs = [u0] + [u0 + d * pert if d != 0.0 and pert is not None else u0 for d in deltas]
     try:
-        batch = _integrate(grid, kspec, sspec, u0_spec, [legs] * len(streams), streams, snapshot_times)
+        batch = _recorded(grid, kspec, sspec, u0_spec, [legs] * len(streams), streams, snapshot_times)
     except BlowUpError as err:
         err.partial_pairs = _pairs(deltas, err.partial_trajectories)
         raise

@@ -41,8 +41,8 @@ from spdelab.oracles import (
     verify_factorization,
     verify_jest,
 )
-from spdelab.solver import InitialCondition, SigmaSpec, simulate_pairs, simulate_replicas
-from spdelab.estimators import structure_function
+from spdelab.solver import InitialCondition, SigmaSpec, simulate_pairs
+from spdelab.estimators import _moment_rows, _replica_moments
 from spdelab.ywtools import RhoSpec, a_sequence, build_family
 from scipy.integrate import quad
 
@@ -82,7 +82,8 @@ def test_criterion_1_noise_covariance():
 # ---------------------------------------------------------------------------
 def _holder_run(kspec, seed, n=4096, replicas=64, chunk=8):
     """Space and time exponents over ``replicas`` runs, integrated ``chunk``
-    streams per batch; a chunk of 1 is one ``simulate`` per replica."""
+    streams per batch with the moments streamed from the engine; a chunk of 1
+    is one run per replica."""
     l = 1.0
     h = l / n
     grid = GridSpec(dim=1, n=n, l=l, dt=h * h / 2, t_end=4000 * h * h, t_min=400 * h * h)
@@ -96,9 +97,10 @@ def _holder_run(kspec, seed, n=4096, replicas=64, chunk=8):
     acc_space, acc_time = [], []
     for r0 in range(0, replicas, chunk):
         streams = [RngStream(seed, r) for r in range(r0, min(r0 + chunk, replicas))]
-        for traj in simulate_replicas(grid, kspec, sigma, u0, streams, times):
-            srows = structure_function(traj, p=2, direction="space", lags=space_lags, order=2)
-            trows = structure_function(traj, p=2, direction="time", lags=time_lags, order=1)
+        batch = _replica_moments(grid, kspec, sigma, u0, streams, times, 2, space_lags, time_lags, order=2)
+        for moments in batch:
+            srows = _moment_rows(grid, [moments], space_lags, "space")
+            trows = _moment_rows(grid, [moments], time_lags, "time")
             acc_space.append([row.moment for row in srows])
             acc_time.append([row.moment for row in trows])
     sp = fit_loglog(space_lags, np.mean(acc_space, axis=0))[0] / 2.0

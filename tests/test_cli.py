@@ -1,10 +1,12 @@
 """CLI orchestration: exit codes, artifacts, determinism, config handling."""
 
 import csv
+import gc
 import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,10 @@ from spdelab.config import (
     fingerprint,
     parse_config_text,
 )
+from spdelab import solver
 from spdelab.errors import ConfigError
 from spdelab.cli import main
+from spdelab.noise import _amplitudes_cached
 from spdelab.solver import config_fingerprint
 
 FAST_SIM = [
@@ -41,6 +45,14 @@ CHUNK_ARGS = {
         "--set", "holder.lags=2,4,8,16", "--set", "holder.tsteps=4,8,16,32",
     ],
 }
+
+
+# the small holder run whose artifacts TestGoldenBytes pins
+GOLDEN_HOLDER = [
+    "holder", "--set", "grid.n=64", "--set", "grid.dt=0.0001220703125", "--set", "grid.t_end=0.125",
+    "--set", "holder.snap_every=8", "--set", "holder.lags=2,4,8,16", "--set", "holder.tsteps=16,32,64,128",
+    "--replicas", "3", "--seed", "5",
+]
 
 
 # every registered key whose stated default is a concrete value
@@ -260,6 +272,25 @@ class TestExitCodes:
         assert f"(config fingerprint {expected}): non-finite values at step 21 " in err
         assert err.rstrip().endswith("in replica 4")
 
+    @pytest.mark.parametrize(
+        "setting", ["holder.p=0", "holder.p=-1", "holder.snap_every=0", "holder.snap_every=-3"]
+    )
+    def test_bad_moment_order_or_stride_is_3_before_step_one(self, tmp_path, monkeypatch, capsys, setting):
+        def no_draw(*args):
+            raise AssertionError("the run reached step 1")
+
+        monkeypatch.setattr(solver, "_draw_spectrum", no_draw)
+        monkeypatch.setenv("SPDELAB_THREADS", "1")
+        assert main([*GOLDEN_HOLDER, "--set", setting, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("precondition error:")
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+    def test_thread_count_that_is_not_a_positive_integer_is_2(self, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.setenv("SPDELAB_THREADS", threads)
+        assert main(["uniqueness", *FAST_SIM, "--replicas", "2", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: SPDELAB_THREADS must be a positive integer, got {threads!r}")
+
     @pytest.mark.parametrize("seed", ["5", "11"])
     def test_default_noise_check_passes_gated(self, tmp_path, seed):
         out = tmp_path / "o"
@@ -419,6 +450,33 @@ class TestDeterminism:
         rows = (out / "smallvalue.csv").read_text().splitlines()
         assert rows[0].startswith("eps,xi,exponent_conditional,exponent_unconditional,gap")
         assert len(rows) >= 2
+
+
+class TestHolderMemory:
+    def test_traced_peak_does_not_grow_with_the_run(self, tmp_path, monkeypatch):
+        """``holder`` keeps per-snapshot scalars and the rows of its longest
+        time lag (128 rows of 8 KiB here), not every snapshot: doubling the run
+        from 250 to 500 snapshots leaves the traced peak within 10%."""
+        monkeypatch.setenv("SPDELAB_THREADS", "1")
+        dt = 2.0**-21
+
+        def traced_peak(steps):
+            _amplitudes_cached.cache_clear()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                code = main(["holder", "--set", "grid.n=1024", "--set", f"grid.dt={dt!r}",
+                             "--set", f"grid.t_end={steps * dt!r}", "--set", "holder.snap_every=4",
+                             "--set", "holder.lags=2,4,8,16", "--set", "holder.tsteps=64,128,256,512",
+                             "--replicas", "1", "--out", str(tmp_path / str(steps))])
+                assert code == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(600)  # first-call allocations (lazy imports, caches) are not the run's
+        short, long = traced_peak(1000), traced_peak(2000)
+        assert long <= 1.10 * short, (short, long)
 
 
 def sha256_of(out, *names):

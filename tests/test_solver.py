@@ -17,7 +17,7 @@ from spdelab import solver
 from spdelab.solver import (
     InitialCondition,
     SigmaSpec,
-    _integrate,
+    _recorded,
     config_fingerprint,
     sigma_eval,
     simulate,
@@ -468,7 +468,7 @@ class TestBatch:
         streams = [RngStream(21, r) for r in (0, 1, 2)]
         times = [0.0, 8 * g.dt, 16 * g.dt]
         legs0 = [[u0.evaluate(g), start_b]] * len(streams)
-        batch = _integrate(g, k, sig, u0, legs0, streams, times, clip=True)
+        batch = _recorded(g, k, sig, u0, legs0, streams, times, clip=True)
         for stream, (leg_a, leg_b) in zip(streams, batch, strict=True):
             assert_same_run(leg_a, simulate(g, k, sig, u0, stream, times, clip=True))
             alone_b = simulate(g, k, sig, u0_b, stream, times, clip=True)
