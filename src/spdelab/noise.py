@@ -199,14 +199,14 @@ def _signed_modes(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _amplitudes_cached(grid: GridSpec, kspec: KernelSpec) -> np.ndarray:
-    """Per-mode standard deviations (unit dt): the square roots of the mode
-    masses, which are checked here, once, for every caller."""
-    n, l, d = grid.n, grid.l, grid.dim
+def _amplitudes_cached(d: int, n: int, l: float, kspec: KernelSpec) -> np.ndarray:
+    """Per-mode standard deviations (unit dt) on the ``d``-dimensional lattice
+    of ``n`` points per side ``l``, cached by the lattice alone: the square
+    roots of the mode masses, which are checked here, once, for every caller."""
     if kspec.kind == "white":
-        mass = np.full(grid.shape, kspec.amplitude / l**d)
+        mass = np.full((n,) * d, kspec.amplitude / l**d)
     elif kspec.kind == "bounded-constant":
-        mass = np.zeros(grid.shape)
+        mass = np.zeros((n,) * d)
         mass[(0,) * d] = kspec.amplitude
     else:
         kspec.require_existence_regime()
@@ -246,7 +246,7 @@ def spectral_amplitudes(grid: GridSpec, kspec: KernelSpec) -> np.ndarray:
     The synthesized field has covariance ``sum_k sigma_k^2 cos(2 pi k.r / l)``,
     which matches ``kernel_eval`` at resolvable separations.
     """
-    return _amplitudes_cached(grid, kspec).copy()
+    return _amplitudes_cached(grid.dim, grid.n, grid.l, kspec).copy()
 
 
 def _draw_spectrum(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> None:

@@ -241,7 +241,7 @@ def _integrate(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: Ini
     """
     dt = grid.dt
     want = _snapshot_steps(grid, snapshot_times)
-    mode_std = _amplitudes_cached(grid, kspec) * np.sqrt(dt)
+    mode_std = _amplitudes_cached(grid.dim, grid.n, grid.l, kspec) * np.sqrt(dt)
     xi = np.fft.rfftfreq(grid.n, d=grid.h)
     if grid.dim == 1:
         rfft, irfft, size = np.fft.rfft, np.fft.irfft, grid.n

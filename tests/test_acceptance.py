@@ -1,11 +1,14 @@
 """Acceptance gate: every criterion at its stated tolerance, one line per criterion.
 
-The configurations below were frozen after calibration (see scripts/ and the
-module docstrings); the tolerances come straight from the criteria and are
-not adjusted here.  Heavy Monte Carlo runs print their runtime next to the
-verdict.
+Criteria 1, 2, 6 and 7 run the CLI in-process on their frozen acceptance-scale
+config in ``configs/`` (``spdelab <cmd> --config configs/<file> --gated`` is the
+same run) and read their verdicts from the CSVs it writes.  Their seeds and
+replica counts are checked against the run's manifest; the tolerances and
+time bounds come straight from the criteria and are not adjusted here.  Heavy
+Monte Carlo runs print their runtime next to the verdict.
 """
 
+import csv
 import os
 import subprocess
 import sys
@@ -15,12 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdelab.estimators import (
-    conditional_regularity,
-    critical_exponent_limit,
-    exponent_recursion,
-    uniqueness_gap,
-)
+from spdelab import cli
+from spdelab.config import ExperimentConfig
+from spdelab.estimators import critical_exponent_limit, exponent_recursion, uniqueness_gap
 from spdelab.kernels import (
     NO_FUNCTION_SOLUTION,
     OPEN,
@@ -32,7 +32,6 @@ from spdelab.kernels import (
     negative_moment_constant,
 )
 from spdelab._fit import fit_loglog
-from spdelab.noise import GridSpec, RngStream, covariance_check
 from spdelab.oracles import (
     heat_difference_l1,
     space_difference_riesz,
@@ -41,12 +40,13 @@ from spdelab.oracles import (
     verify_factorization,
     verify_jest,
 )
-from spdelab.solver import InitialCondition, SigmaSpec, simulate_pairs
-from spdelab.estimators import _moment_rows, _replica_moments
+from spdelab.solver import SigmaSpec, simulate_pairs
 from spdelab.ywtools import RhoSpec, a_sequence, build_family
 from scipy.integrate import quad
 
 pytestmark = pytest.mark.acceptance
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -54,67 +54,52 @@ def report(number: int, passed: bool, detail: str) -> None:
     assert passed, detail
 
 
+def _run(cmd, conf, out, seed, replicas):
+    """``spdelab <cmd> --config configs/<conf> --out <out> --gated`` in-process:
+    exit 0, and the run's manifest names ``seed`` and ``replicas``."""
+    code = cli.main([cmd, "--config", str(CONFIGS / conf), "--out", str(out), "--gated"])
+    assert code == 0, f"spdelab {cmd} --config configs/{conf} --gated exited {code}"
+    manifest = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    assert (int(manifest["run.seed"], 0), int(manifest["run.replicas"])) == (seed, replicas), manifest
+    return out
+
+
+def _csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 # ---------------------------------------------------------------------------
-def test_criterion_1_noise_covariance():
+def test_criterion_1_noise_covariance(tmp_path):
     """d=1, alpha in {0.3, 0.5, 0.8}, n=4096, 2000 replicas: covariance within
     10% of dt * r^(-alpha) on [4h, l/8]; under 2 minutes per alpha."""
-    n, l = 4096, 1.0
-    grid = GridSpec(dim=1, n=n, l=l, t_end=1.0)
-    h = grid.h
-    lag_cells = sorted(set(np.round(np.geomspace(4, n // 8, 10)).astype(int)))
-    lags = [c * h for c in lag_cells]
     details = []
     ok = True
-    for alpha, steps in ((0.3, 32), (0.5, 32), (0.8, 128)):
-        kspec = KernelSpec(kind="riesz", alpha=alpha, dim=1)
+    for alpha in ("0.3", "0.5", "0.8"):
         t0 = time.perf_counter()
-        rows = covariance_check(
-            grid, kspec, lags, replicas=2000,
-            steps_per_replica=steps, master_seed=0xC0FFEE,
-        )
+        out = _run("noise-check", f"criterion1_alpha{alpha}.conf", tmp_path / alpha, seed=0xC0FFEE, replicas=2000)
         elapsed = time.perf_counter() - t0
-        worst = max(abs(r.estimate / r.theory - 1.0) for r in rows)
+        worst = max(abs(float(row["rel_err"])) for row in _csv(out / "noise_covariance.csv"))
         ok &= worst <= 0.10 and elapsed < 180.0
         details.append(f"alpha={alpha}: max rel err {worst:.3f} in {elapsed:.0f}s")
     report(1, ok, "; ".join(details))
 
 
 # ---------------------------------------------------------------------------
-def _holder_run(kspec, seed, n=4096, replicas=64, chunk=8):
-    """Space and time exponents over ``replicas`` runs, integrated ``chunk``
-    streams per batch with the moments streamed from the engine; a chunk of 1
-    is one run per replica."""
-    l = 1.0
-    h = l / n
-    grid = GridSpec(dim=1, n=n, l=l, dt=h * h / 2, t_end=4000 * h * h, t_min=400 * h * h)
-    sigma = SigmaSpec(kind="lipschitz-linear", scale=1.0)
-    u0 = InitialCondition(kind="constant", value=1.0)
-    every = 16
-    total = int(round(grid.t_end / grid.dt))
-    times = [m * grid.dt for m in range(0, total + 1, every)]
-    space_lags = [c * h for c in (8, 16, 32, 64)]
-    time_lags = [m * grid.dt for m in (64, 128, 256, 512, 1024)]
-    acc_space, acc_time = [], []
-    for r0 in range(0, replicas, chunk):
-        streams = [RngStream(seed, r) for r in range(r0, min(r0 + chunk, replicas))]
-        batch = _replica_moments(grid, kspec, sigma, u0, streams, times, 2, space_lags, time_lags, order=2)
-        for moments in batch:
-            srows = _moment_rows(grid, [moments], space_lags, "space")
-            trows = _moment_rows(grid, [moments], time_lags, "time")
-            acc_space.append([row.moment for row in srows])
-            acc_time.append([row.moment for row in trows])
-    sp = fit_loglog(space_lags, np.mean(acc_space, axis=0))[0] / 2.0
-    tm = fit_loglog(time_lags, np.mean(acc_time, axis=0))[0] / 2.0
-    return sp, tm
+def _exponents(out):
+    """(spatial, temporal) exponents from a ``holder`` run's ``holder.csv``."""
+    exponents = {row["direction"]: float(row["exponent"]) for row in _csv(out / "holder.csv")}
+    return exponents["space"], exponents["time"]
 
 
-def test_criterion_2_regularity_exponents():
+def test_criterion_2_regularity_exponents(tmp_path, monkeypatch):
     """alpha=0.5 lipschitz run: spatial in [0.65, 0.85], temporal in [0.30, 0.45];
     white-noise run: spatial in [0.43, 0.57], temporal in [0.20, 0.30].
-    n=4096, 64 replicas, under 10 minutes total."""
+    n=4096, 64 replicas on 2 threads, under 10 minutes total."""
+    monkeypatch.setenv("SPDELAB_THREADS", "2")
     t0 = time.perf_counter()
-    sp_c, tm_c = _holder_run(KernelSpec(kind="riesz", alpha=0.5, dim=1), seed=11)
-    sp_w, tm_w = _holder_run(KernelSpec(kind="white", dim=1), seed=22)
+    sp_c, tm_c = _exponents(_run("holder", "criterion2_riesz.conf", tmp_path / "riesz", seed=11, replicas=64))
+    sp_w, tm_w = _exponents(_run("holder", "criterion2_white.conf", tmp_path / "white", seed=22, replicas=64))
     elapsed = time.perf_counter() - t0
     ok = (
         0.65 <= sp_c <= 0.85
@@ -260,88 +245,64 @@ def test_criterion_5_regime_classifier():
 
 
 # ---------------------------------------------------------------------------
-def _stability_setup():
-    n, l = 256, 8.0
-    h = l / n
-    grid = GridSpec(dim=1, n=n, l=l, dt=h * h / 2, t_end=1.0, t_min=0.1)
-    kspec = KernelSpec(kind="riesz", alpha=0.3, dim=1)
-    sigma = SigmaSpec(kind="holder-power", gamma=0.8, scale=1.0)
-    u0 = InitialCondition(kind="constant", value=1.0)
-    pert = InitialCondition(kind="bump", center=l / 2, width=l / 16, height=1.0)
-    total = int(round(grid.t_end / grid.dt))
-    times = [m * grid.dt for m in range(0, total + 1, max(1, total // 64))]
-    return grid, kspec, sigma, u0, pert, times
-
-
-def _stability_pairs(deltas, replicas=32, seed=99):
-    """Every replica's pair for every delta, delta-major; a replica's deltas
-    are legs of one batch on its one noise path."""
-    grid, kspec, sigma, u0, pert, times = _stability_setup()
-    streams = [RngStream(seed, r) for r in range(replicas)]
-    per_replica = simulate_pairs(grid, kspec, sigma, u0, pert, deltas, streams, times)
-    return [pairs[k] for k in range(len(deltas)) for pairs in per_replica]
-
-
-def test_criterion_6_pathwise_stability_proxy():
+def test_criterion_6_pathwise_stability_proxy(tmp_path):
     """gamma=0.8, alpha=0.3, 32 replicas: delta=0 gives bitwise-zero difference;
     median peak L1 divergence strictly decreasing over delta = 1e-1, 1e-2, 1e-3."""
     t0 = time.perf_counter()
-    pairs = _stability_pairs((0.0, 1e-1, 1e-2, 1e-3))
-    rep = uniqueness_gap(pairs)
-    zero_ok = rep.peak_l1[0.0] == 0.0 and all(
-        np.all(rep.median_l1[0.0] == 0.0) for _ in (0,)
+    out = _run("uniqueness", "criterion6_pairs.conf", tmp_path, seed=99, replicas=32)
+    summary = _csv(out / "uniqueness_summary.csv")
+    peak = {float(row["delta"]): float(row["peak_l1"]) for row in summary}
+    zero_ok = peak[0.0] == 0.0 and all(
+        float(row["median_l1"]) == 0.0 for row in _csv(out / "uniqueness_decay.csv") if float(row["delta"]) == 0.0
     )
-    decreasing = rep.peak_l1[1e-3] < rep.peak_l1[1e-2] < rep.peak_l1[1e-1]
+    decreasing = peak[1e-3] < peak[1e-2] < peak[1e-1]
+    monotone = all(row["monotone_in_delta"] == "True" for row in summary)
     elapsed = time.perf_counter() - t0
     report(
         6,
-        zero_ok and decreasing and rep.monotone_in_delta,
+        zero_ok and decreasing and monotone,
         f"delta=0 exactly zero: {zero_ok}; peaks "
-        f"{rep.peak_l1[1e-3]:.2e} < {rep.peak_l1[1e-2]:.2e} < {rep.peak_l1[1e-1]:.2e}; {elapsed:.0f}s",
+        f"{peak[1e-3]:.2e} < {peak[1e-2]:.2e} < {peak[1e-1]:.2e}; {elapsed:.0f}s",
     )
 
 
-def test_batched_runs_match_per_replica_runs():
+def test_batched_runs_match_per_replica_runs(tmp_path, monkeypatch):
     """Criteria 2 and 6 integrate batches of replicas (and of deltas); at small
     scale their exponents and peaks are bitwise those of one run per replica
     (and per delta)."""
-    kspec = KernelSpec(kind="riesz", alpha=0.5, dim=1)
-    chunked = _holder_run(kspec, seed=11, n=256, replicas=3, chunk=2)
-    assert chunked == _holder_run(kspec, seed=11, n=256, replicas=3, chunk=1)
+    holder = {}
+    for threads in ("1", "3"):  # one chunk of 3 replicas; one replica per chunk
+        monkeypatch.setenv("SPDELAB_THREADS", threads)
+        out = tmp_path / f"holder{threads}"
+        code = cli.main(["holder", "--config", str(CONFIGS / "criterion2_riesz.conf"),
+                         "--set", "grid.n=256", "--replicas", "3", "--out", str(out)])
+        assert code == 0
+        holder[threads] = (out / "holder.csv").read_bytes()
+    assert holder["1"] == holder["3"]
 
-    deltas = (0.0, 1e-1, 1e-2, 1e-3)
-    grid, kspec, sigma, u0, pert, times = _stability_setup()
+    monkeypatch.setenv("SPDELAB_THREADS", "1")
+    cfg = ExperimentConfig.load(str(CONFIGS / "criterion6_pairs.conf"), ["run.replicas=3"])
+    grid, deltas = cfg.grid(), cfg.get_floats("pair.deltas")
+    pert = cli._pair_perturbation(cfg, grid)
+    times = cli._default_snapshots(grid, cfg.get_int("holder.snap_every"))
     alone = [
-        simulate_pairs(grid, kspec, sigma, u0, pert, [d], [RngStream(99, r)], times)[0][0]
+        simulate_pairs(grid, cfg.kernel(), cfg.sigma(), cfg.u0(), pert, [d], [cfg.stream(r)], times)[0][0]
         for d in deltas
         for r in range(3)
     ]
-    assert uniqueness_gap(_stability_pairs(deltas, replicas=3)).peak_l1 == uniqueness_gap(alone).peak_l1
+    assert uniqueness_gap(cli._coupled_pairs(cfg, deltas)).peak_l1 == uniqueness_gap(alone).peak_l1
 
 
 # ---------------------------------------------------------------------------
-def test_criterion_7_small_value_regularity():
+def test_criterion_7_small_value_regularity(tmp_path):
     """alpha=0.5, gamma=0.5, delta=0.1: conditional spatial exponent exceeds the
     unconditional one by >= 0.05 at the smallest resolvable eps with >= 100
     anchors; the exponent recursion reaches its limit within 0.05 by step 50."""
     t0 = time.perf_counter()
-    n, l = 1024, 1.0
-    h = l / n
-    grid = GridSpec(dim=1, n=n, l=l, dt=h * h / 2, t_end=2000 * h * h, t_min=200 * h * h)
-    kspec = KernelSpec(kind="riesz", alpha=0.5, dim=1)
-    sigma = SigmaSpec(kind="holder-power", gamma=0.5, scale=2.0)
-    u0 = InitialCondition(kind="constant", value=1.0)
-    pert = InitialCondition(kind="bump", center=l / 2, width=l / 8, height=1.0)
-    total = int(round(grid.t_end / grid.dt))
-    times = [m * grid.dt for m in range(0, total + 1, max(1, total // 64))]
-    streams = [RngStream(7, r) for r in range(12)]
-    pairs = [pair for (pair,) in simulate_pairs(grid, kspec, sigma, u0, pert, [0.1], streams, times)]
-    res = conditional_regularity(
-        pairs, xi=0.875, eps_values=[4 * h, 8 * h],
-        lags=[c * h for c in (1, 2, 4, 8)], order=1,
-    )
-    gap0 = res.gaps[0]
-    anchors = res.conditional[0].n_samples
+    out = _run("small-value", "criterion7_smallvalue.conf", tmp_path, seed=7, replicas=12)
+    row = _csv(out / "smallvalue.csv")[0]  # the smallest eps, 4h
+    gap0 = float(row["gap"])
+    anchors = int(row["anchors"])
     sim_ok = gap0 >= 0.05 and anchors >= 100
 
     worst = 0.0
@@ -354,8 +315,8 @@ def test_criterion_7_small_value_regularity():
     report(
         7,
         sim_ok and rec_ok,
-        f"gap at eps=4h: {gap0:.3f} (uncond {res.unconditional.exponent:.3f}, "
-        f"cond {res.conditional[0].exponent:.3f}, {anchors} anchors); "
+        f"gap at eps=4h: {gap0:.3f} (uncond {float(row['exponent_unconditional']):.3f}, "
+        f"cond {float(row['exponent_conditional']):.3f}, {anchors} anchors); "
         f"recursion worst dev {worst:.3f}; {elapsed:.0f}s",
     )
 

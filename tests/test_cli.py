@@ -25,6 +25,8 @@ from spdelab.cli import main
 from spdelab.noise import _amplitudes_cached
 from spdelab.solver import config_fingerprint
 
+ACCEPTANCE_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 FAST_SIM = [
     "--set", "grid.n=128",
     "--set", "grid.l=1.0",
@@ -173,6 +175,13 @@ class TestConfig:
         assert cfg.grid().n == 64
         assert cfg.kernel().alpha == 0.4
         assert cfg.sigma().kind == "sqrt-plus"
+
+    @pytest.mark.parametrize("path", sorted(ACCEPTANCE_CONFIGS.glob("*.conf")), ids=lambda p: p.name)
+    def test_acceptance_config_builds(self, path):
+        """Each ``configs/*.conf`` loads and builds its grid, kernel, sigma and
+        initial data, so a mistyped key fails here, not after a long criterion."""
+        cfg = ExperimentConfig.load(str(path))
+        cfg.grid(), cfg.kernel(), cfg.sigma(), cfg.u0()
 
 
 class TestExitCodes:

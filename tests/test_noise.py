@@ -220,6 +220,19 @@ class TestOnePhiloxPerCall:
 
 
 class TestSpectralAmplitudes:
+    def test_cache_is_keyed_by_the_lattice(self):
+        """Grids that differ only in ``t_end`` share one cached array."""
+        k = KernelSpec(kind="riesz", alpha=0.5)
+        _amplitudes_cached.cache_clear()
+        try:
+            short = spectral_amplitudes(grid1d(n=64, t_end=1.0), k)
+            long = spectral_amplitudes(grid1d(n=64, t_end=2.0), k)
+            info = _amplitudes_cached.cache_info()
+            assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+            assert np.array_equal(short, long)
+        finally:
+            _amplitudes_cached.cache_clear()
+
     def test_white_flat(self):
         g = grid1d(n=128, l=2.0)
         amps = spectral_amplitudes(g, KernelSpec(kind="white"))
