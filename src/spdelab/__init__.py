@@ -47,7 +47,6 @@ from .estimators import (
     conditional_regularity,
     critical_exponent_limit,
     exponent_recursion,
-    holder_exponent,
     structure_function,
     uniqueness_gap,
 )

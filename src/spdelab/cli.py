@@ -4,10 +4,13 @@ Subcommands: ``regime``, ``noise-check``, ``simulate``, ``holder``,
 ``small-value``, ``uniqueness``, ``yw``, ``oracle``.  Each run is a
 deterministic function of (config, seed): artifacts are CSV reports, binary
 field dumps, and a ``manifest.txt`` sidecar embedding every config key, the
-config fingerprint, and the artifact version.  Replicas run as batches on a
-thread pool of ``SPDELAB_THREADS`` workers, one contiguous chunk of replica
-ids per thread; results are reduced in replica order so the emitted bytes
-never depend on scheduling.
+config fingerprint, and the artifact version.  The replicas of
+``noise-check``, ``holder``, ``uniqueness`` and ``small-value`` run on the
+one runner, ``noise._run_replicas``: contiguous chunks of at most 8 replica
+ids on a pool of ``SPDELAB_THREADS`` workers, merged in replica order, so the
+emitted bytes never depend on scheduling.  Everything that can be checked
+without a simulation is checked before step 1, the output directory
+included.
 
 Exit codes: 0 success, 1 failed gate in ``--gated`` mode, 2 config parse
 error, 3 precondition error, 4 numeric failure.
@@ -17,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +38,16 @@ from .errors import (
     SpectralError,
 )
 from .estimators import (
+    _conditioning_lags,
     _holder_reports,
     _replica_moments,
+    _require_octaves,
     conditional_regularity,
     default_conditioning_exponent,
     uniqueness_gap,
 )
 from .kernels import classify_regime
-from .noise import NoiseField, covariance_check, write_field
+from .noise import NoiseField, _run_replicas, covariance_check, write_field
 from .oracles import (
     space_difference_riesz,
     time_difference_riesz,
@@ -55,39 +58,6 @@ from .oracles import (
 )
 from .solver import InitialCondition, simulate, simulate_pairs
 from .ywtools import RhoSpec, a_sequence, build_family, delta_approx_check
-
-
-def _thread_count() -> int:
-    """``SPDELAB_THREADS``: a positive integer, 1 when unset or empty."""
-    raw = os.environ.get("SPDELAB_THREADS") or "1"
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigError(f"SPDELAB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def _run_replicas(cfg: ExperimentConfig, batch):
-    """Run ``batch(streams)`` on one contiguous chunk of the ``run.replicas``
-    streams per thread, merging the per-replica results in replica order.
-
-    A chunk that blows up stops at its first non-finite step.  Of the chunks'
-    BlowUpErrors the one with the smallest ``(step_index, replica_id)`` is
-    raised, which is the one a single batch would raise; any other error
-    takes precedence, first chunk first.
-    """
-    streams = [cfg.stream(r) for r in range(cfg.get_int("run.replicas"))]
-    threads = min(_thread_count(), len(streams))
-    if threads <= 1:
-        return batch(streams) if streams else []
-    bounds = [len(streams) * i // threads for i in range(threads + 1)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(batch, streams[a:b]) for a, b in zip(bounds, bounds[1:])]
-    errors = [e for e in (f.exception() for f in futures) if e is not None]
-    if errors:
-        blowups = [e for e in errors if isinstance(e, BlowUpError)]
-        if len(blowups) < len(errors):
-            raise next(e for e in errors if not isinstance(e, BlowUpError))
-        raise min(blowups, key=lambda e: (e.step_index, e.replica_id))
-    return [result for f in futures for result in f.result()]
 
 
 def _write_csv(path: Path, header, rows, cfg: ExperimentConfig) -> None:
@@ -128,16 +98,15 @@ def _default_snapshots(grid, every: int):
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_regime(cfg: ExperimentConfig, gated: bool) -> int:
+def _cmd_regime(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
     verdict = classify_regime(cfg.kernel(), cfg.sigma())
-    out = _outdir(cfg)
     _write_csv(out / "regime.csv", ["verdict", "citation"], [[verdict.verdict, verdict.citation]], cfg)
     _write_manifest(out, cfg, {"verdict": verdict.verdict})
     print(f"{verdict.verdict} [{verdict.citation}]")
     return 0
 
 
-def _cmd_noise_check(cfg: ExperimentConfig, gated: bool) -> int:
+def _cmd_noise_check(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
     grid, kspec = cfg.grid(), cfg.kernel()
     replicas = cfg.get_int("run.replicas")
     cells = cfg.get_ints("noise.lags")
@@ -158,7 +127,6 @@ def _cmd_noise_check(cfg: ExperimentConfig, gated: bool) -> int:
             rel = float("nan")
             ok &= abs(row.estimate) <= max(4.0 * row.stderr, 1e-300)
         out_rows.append([row.lag, row.estimate, row.stderr, row.theory, rel])
-    out = _outdir(cfg)
     _write_csv(
         out / "noise_covariance.csv",
         ["lag", "estimate", "stderr", "theory", "rel_err"],
@@ -171,14 +139,13 @@ def _cmd_noise_check(cfg: ExperimentConfig, gated: bool) -> int:
     return 0 if ok or not gated else 1
 
 
-def _cmd_simulate(cfg: ExperimentConfig, gated: bool) -> int:
+def _cmd_simulate(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
     grid, kspec, sspec = cfg.grid(), cfg.kernel(), cfg.sigma()
     times = cfg.get_floats("sim.snapshots")
     if not times:
         times = _default_snapshots(grid, max(1, int(round(grid.t_end / grid.dt / 8))))
     traj = simulate(grid, kspec, sspec, cfg.u0(), cfg.stream(0), times,
                     clip=cfg.get_bool("sim.clip"))
-    out = _outdir(cfg)
     summary = []
     for i, (step, t, values) in enumerate(zip(traj.steps, traj.times, traj.values)):
         dump = NoiseField(grid=grid, values=values, kernel=kspec, stream=cfg.stream(0).at_step(step), dt=t)
@@ -200,17 +167,20 @@ def _cmd_simulate(cfg: ExperimentConfig, gated: bool) -> int:
     return 0
 
 
-def _cmd_holder(cfg: ExperimentConfig, gated: bool) -> int:
+def _cmd_holder(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
     grid, kspec, sspec = cfg.grid(), cfg.kernel(), cfg.sigma()
     p, order = cfg.get_float("holder.p"), cfg.get_int("holder.order")
-    space_lags = [g * grid.h for g in cfg.get_ints("holder.lags")]
-    time_lags = [m * grid.dt for m in cfg.get_ints("holder.tsteps")]
+    # p, order and the lattice of every lag are checked by each chunk's _Moments before its step 1
+    space_lags = _require_octaves([g * grid.h for g in cfg.get_ints("holder.lags")])
+    time_lags = _require_octaves([m * grid.dt for m in cfg.get_ints("holder.tsteps")])
+    bands = [cfg.get_floats(key) for key in ("holder.gate_space", "holder.gate_time")]
+    if any(len(band) not in (0, 2) for band in bands):
+        raise ConfigError("holder.gate_space and holder.gate_time must each be empty or two numbers lo,hi")
     times = _default_snapshots(grid, cfg.get_int("holder.snap_every"))
-    scalars = _run_replicas(cfg, lambda streams: _replica_moments(
+    scalars = _run_replicas(cfg.streams(), lambda streams: _replica_moments(
         grid, kspec, sspec, cfg.u0(), streams, times, p, space_lags, time_lags, order))
     rep_s, rep_t = _holder_reports(grid, scalars, p, space_lags, time_lags, order)
 
-    out = _outdir(cfg)
     _write_csv(
         out / "structure.csv",
         ["direction", "lag", "moment", "stderr", "n_samples"],
@@ -227,8 +197,7 @@ def _cmd_holder(cfg: ExperimentConfig, gated: bool) -> int:
         ],
         cfg,
     )
-    gates = ((cfg.get_floats("holder.gate_space"), rep_s), (cfg.get_floats("holder.gate_time"), rep_t))
-    ok = all(not gate or gate[0] <= rep.exponent <= gate[1] for gate, rep in gates)
+    ok = all(not band or band[0] <= rep.exponent <= band[1] for band, rep in zip(bands, (rep_s, rep_t)))
     _write_manifest(out, cfg, {"spatial_exponent": rep_s.exponent, "temporal_exponent": rep_t.exponent})
     print(
         f"holder: spatial={rep_s.exponent:.4f} (se {rep_s.stderr:.4f}), "
@@ -255,14 +224,13 @@ def _coupled_pairs(cfg: ExperimentConfig, deltas) -> list:
     times = _default_snapshots(grid, cfg.get_int("holder.snap_every"))
     pert = _pair_perturbation(cfg, grid)
     per_replica = _run_replicas(
-        cfg, lambda streams: simulate_pairs(grid, kspec, sspec, cfg.u0(), pert, deltas, streams, times)
+        cfg.streams(), lambda streams: simulate_pairs(grid, kspec, sspec, cfg.u0(), pert, deltas, streams, times)
     )
     return [pairs[k] for k in range(len(deltas)) for pairs in per_replica]
 
 
-def _cmd_uniqueness(cfg: ExperimentConfig, gated: bool) -> int:
+def _cmd_uniqueness(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
     report = uniqueness_gap(_coupled_pairs(cfg, cfg.get_floats("pair.deltas")))
-    out = _outdir(cfg)
     rows = []
     for d in report.deltas:
         for t, l1, sup in zip(report.times, report.median_l1[d], report.median_sup[d]):
@@ -280,24 +248,18 @@ def _cmd_uniqueness(cfg: ExperimentConfig, gated: bool) -> int:
     return 0 if report.monotone_in_delta or not gated else 1
 
 
-def _cmd_small_value(cfg: ExperimentConfig, gated: bool) -> int:
-    grid = cfg.grid()
-    pairs = _coupled_pairs(cfg, [cfg.get_float("smallvalue.delta")])
-    kspec, sspec = cfg.kernel(), cfg.sigma()
+def _cmd_small_value(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
+    grid, kspec, sspec = cfg.grid(), cfg.kernel(), cfg.sigma()
     xi = cfg.get_float("smallvalue.xi")
     if xi is None:
         xi = default_conditioning_exponent(kspec.alpha, sspec.gamma)
-    eps_cells = cfg.get_ints("smallvalue.eps_cells")
-    lag_cells = cfg.get_ints("smallvalue.lags")
-    result = conditional_regularity(
-        pairs,
-        xi=xi,
-        eps_values=[g * grid.h for g in eps_cells],
-        p=cfg.get_float("holder.p"),
-        lags=[g * grid.h for g in lag_cells],
-        order=cfg.get_int("holder.order"),
-    )
-    out = _outdir(cfg)
+    eps_values = [g * grid.h for g in cfg.get_ints("smallvalue.eps_cells")]
+    lags = [g * grid.h for g in cfg.get_ints("smallvalue.lags")]
+    p, order = cfg.get_float("holder.p"), cfg.get_int("holder.order")
+    _conditioning_lags(grid, eps_values, p, lags, order)  # before step 1
+    gate_gap = cfg.get_float("smallvalue.gate_gap")
+    pairs = _coupled_pairs(cfg, [cfg.get_float("smallvalue.delta")])
+    result = conditional_regularity(pairs, xi=xi, eps_values=eps_values, p=p, lags=lags, order=order)
     rows = []
     for eps, rep, gap in zip(result.eps_values, result.conditional, result.gaps):
         rows.append(
@@ -311,7 +273,6 @@ def _cmd_small_value(cfg: ExperimentConfig, gated: bool) -> int:
         rows,
         cfg,
     )
-    gate_gap = cfg.get_float("smallvalue.gate_gap")
     ok = result.gaps[0] >= gate_gap
     _write_manifest(out, cfg, {"gap_at_smallest_eps": result.gaps[0]})
     print(
@@ -321,13 +282,12 @@ def _cmd_small_value(cfg: ExperimentConfig, gated: bool) -> int:
     return 0 if ok or not gated else 1
 
 
-def _cmd_yw(cfg: ExperimentConfig, gated: bool) -> int:
+def _cmd_yw(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
     n_max = cfg.get_int("yw.n")
     rho_kind = cfg.get_str("yw.rho")
     if rho_kind != "sqrt":
         raise ConfigError("the CLI exposes the sqrt modulus; custom tables are API-only")
     rho = RhoSpec(kind="sqrt")
-    out = _outdir(cfg)
     rows = []
     ok = True
     for k in range(1, n_max + 1):
@@ -359,7 +319,7 @@ def _cmd_yw(cfg: ExperimentConfig, gated: bool) -> int:
     return 0 if ok or not gated else 1
 
 
-def _cmd_oracle(cfg: ExperimentConfig, gated: bool) -> int:
+def _cmd_oracle(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
     alpha = cfg.get_float("oracle.alpha")
     n_cases = cfg.get_int("oracle.cases")
     rng = np.random.Generator(np.random.Philox(key=cfg.get_int("run.seed")))
@@ -396,7 +356,6 @@ def _cmd_oracle(cfg: ExperimentConfig, gated: bool) -> int:
     cases.append(jest)
     fits.append(["triple-time-exponent", 0.4, jest.lhs, jest.rhs, jest.tol, jest.passed])
 
-    out = _outdir(cfg)
     _write_csv(out / "oracle_cases.csv", ["lemma", "params", "lhs", "rhs", "ratio", "pass"], [
         [c.lemma, ";".join(f"{k}={v}" for k, v in sorted(c.params.items())), c.lhs, c.rhs, c.ratio, c.passed]
         for c in cases
@@ -448,7 +407,7 @@ def main(argv=None) -> int:
     overrides = args.set + [f"{key}={flags[f]}" for f, key in _FLAG_KEYS.items() if flags.get(f) is not None]
     try:
         cfg = ExperimentConfig.load(args.config, overrides, defaults=DEFAULT_CONFIG)
-        return _COMMANDS[args.command](cfg, args.gated)
+        return _COMMANDS[args.command](cfg, _outdir(cfg), args.gated)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -250,6 +250,10 @@ class ExperimentConfig:
     def stream(self, replica_id: int = 0) -> RngStream:
         return RngStream(master_seed=self.get_int("run.seed"), replica_id=replica_id)
 
+    def streams(self) -> list[RngStream]:
+        """One stream per replica, ``run.replicas`` of them."""
+        return [self.stream(r) for r in range(self.get_int("run.replicas"))]
+
     def fingerprint(self) -> str:
         return fingerprint(self.values)
 

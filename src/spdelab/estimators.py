@@ -21,9 +21,10 @@ reduces them at the end in one fixed order.  The one lattice check is the
 grid's: :meth:`GridSpec.cells` turns a spatial lag or a conditioning scale
 ``eps`` into whole cells (to 1e-9 of a cell, in ``[1, n/2]``), and
 :meth:`GridSpec.steps` turns a time lag into whole ``dt`` steps (to 1e-6 of a
-step, at least one); anything else is an InputError, raised after the run in
-lag order.  Snapshots are matched by their recorded ``steps``, each to the one
-exactly the lag's number of steps later.  ``p`` must be finite and > 0.  Every
+step, at least one); anything else is an InputError, raised when ``_Moments``
+is built, before the engine's step 1.  Snapshots are matched by their recorded
+``steps``, each to the one exactly the lag's number of steps later.  ``p`` must
+be finite and > 0, and ``order`` 1 or 2.  Every
 exponent is the slope of the package's one log-log least-squares fit, divided
 by ``p``; a :class:`HolderReport` keeps the MomentRows it fitted in ``rows``.
 
@@ -84,20 +85,11 @@ def _in_window(grid, time) -> bool:
     return grid.t_min - tol <= time <= grid.t_end + tol
 
 
-def _require_p(p):
+def _require_p(p, order=1):
     if not 0 < p < math.inf:
         raise DomainError(f"moment order p must be finite and > 0, got {p}")
-
-
-def _lag_units(grid, direction, lag, defer=False):
-    """A lag in whole cells (space) or whole ``dt`` steps, at least one (time); with ``defer``,
-    0 off the lattice, whose error ``_moment_rows`` raises before it reads that lag."""
-    try:
-        return grid.cells(lag) if direction == "space" else grid.steps(lag, lo=1)
-    except InputError:
-        if not defer:
-            raise
-        return 0
+    if order not in (1, 2):
+        raise DomainError("order must be 1 or 2")
 
 
 def _increment_powers(rows, p, order, cells):
@@ -126,12 +118,10 @@ class _Moments:
     ``scalars[r][direction][i]`` are replica ``r``'s scalars at lag ``i``."""
 
     def __init__(self, grid, replicas, p, space_lags=(), time_lags=(), order=1):
-        _require_p(p)
-        if order not in (1, 2):
-            raise DomainError("order must be 1 or 2")
+        _require_p(p, order)
         self.grid, self.p, self.order, self.kept = grid, p, order, {}
-        self.cells = [_lag_units(grid, "space", lag, defer=True) for lag in space_lags]
-        self.lags = [_lag_units(grid, "time", lag, defer=True) for lag in time_lags]
+        self.cells = [grid.cells(lag) for lag in space_lags]
+        self.lags = [grid.steps(lag, lo=1) for lag in time_lags]
         self.longest = max(self.lags, default=0)
         self.scalars = [{"space": [array("d") for _ in self.cells], "time": [array("d") for _ in self.lags]}
                         for _ in range(replicas)]
@@ -144,7 +134,7 @@ class _Moments:
             for out, value in zip(self.scalars, _row_means(powers)):
                 out["space"][i].append(value)
         for i, m in enumerate(self.lags):
-            if m and step - m in self.kept:
+            if step - m in self.kept:
                 for out, value in zip(self.scalars, _row_means(np.abs(rows - self.kept[step - m]) ** self.p)):
                     out["time"][i].append(value)
         self.kept = {k: kept for k, kept in self.kept.items() if k > step - self.longest}
@@ -161,13 +151,12 @@ def _replica_moments(grid, kspec, sspec, u0_spec, streams, snapshot_times, p, sp
 
 
 def _moment_rows(grid, scalars, lags, direction) -> list[MomentRow]:
-    """One MomentRow per lag from per-replica ``_Moments.scalars``, checked in lag order (lattice,
-    then anchors): each replica's mean, then the mean and standard error over replicas."""
+    """One MomentRow per lag from per-replica ``_Moments.scalars``, whose anchors are checked in lag
+    order: each replica's mean, then the mean and standard error over replicas."""
     if not scalars:
         raise InputError("no trajectories given")
     rows = []
     for i, lag in enumerate(lags):
-        _lag_units(grid, direction, lag)
         per_replica = [s[direction][i] for s in scalars]
         n_anchors = sum(map(len, per_replica)) * grid.n_cells
         if n_anchors < 100:
@@ -230,16 +219,10 @@ def _fit_report(rows, direction, p, order, n_samples=None) -> HolderReport:
     )
 
 
-def holder_exponent(trajs, p: float = 2.0, direction: str = "space", lags=None,
-                    order: int = 1) -> HolderReport:
-    """Scaling-exponent estimate: log-log slope of the structure function over p."""
-    rows = structure_function(trajs, p=p, direction=direction, lags=_require_octaves(lags), order=order)
-    return _fit_report(rows, direction, p, order)
-
-
 def _holder_reports(grid, scalars, p, space_lags, time_lags, order) -> list[HolderReport]:
-    """``holder_exponent`` in space (order ``order``), then time, of per-replica ``_Moments.scalars``."""
-    return [_fit_report(_moment_rows(grid, scalars, _require_octaves(lags), d), d, p, k)
+    """The fits in space (order ``order``), then time, of per-replica ``_Moments.scalars``;
+    the caller checked before the run that each direction's lags span 3 octaves."""
+    return [_fit_report(_moment_rows(grid, scalars, lags, d), d, p, k)
             for d, lags, k in (("space", space_lags, order), ("time", time_lags, 1))]
 
 
@@ -283,6 +266,17 @@ def default_conditioning_exponent(alpha: float, gamma: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _conditioning_lags(grid, eps_values, p, lags, order):
+    """What :func:`conditional_regularity` checks before it reads a pair, and the CLI before step 1:
+    dim 1, ``p`` and ``order``, lags over 3 octaves (default 1, 2, 4, 8 cells), and every lag and
+    ``eps`` a whole number of cells.  Returns the lags, their cells and the cells of each ``eps``."""
+    if grid.dim != 1:
+        raise DomainError("small-value conditioning is implemented for dim 1")
+    _require_p(p, order)
+    lags = _require_octaves([grid.h * g for g in (1, 2, 4, 8)] if lags is None else lags)
+    return lags, [grid.cells(lag) for lag in lags], [grid.cells(eps) for eps in eps_values]
+
+
 @dataclass(frozen=True)
 class ConditionalRegularityResult:
     xi: float
@@ -319,13 +313,7 @@ def conditional_regularity(
     grid = pairs[0].grid
     if any(pr.grid != grid for pr in pairs):
         raise InputError("pairs must share a grid")
-    if grid.dim != 1:
-        raise DomainError("small-value conditioning is implemented for dim 1")
-    _require_p(p)
-    if lags is None:
-        lags = [grid.h * g for g in (1, 2, 4, 8)]
-    lags = _require_octaves(lags)
-    cells = [grid.cells(lag) for lag in lags]
+    lags, cells, windows = _conditioning_lags(grid, eps_values, p, lags, order)
 
     snaps = [row for pr in pairs for t, row in zip(pr.times, pr.diffs) if _in_window(grid, t)]
     if not snaps:
@@ -358,8 +346,7 @@ def conditional_regularity(
     conditional = []
     gaps = []
     occupancy = {}
-    for eps in eps_values:
-        w = grid.cells(eps)
+    for eps, w in zip(eps_values, windows):
         thresh = float(eps) ** xi
         masks = []
         occupied = 0

@@ -70,9 +70,10 @@ def _csv(path):
 
 
 # ---------------------------------------------------------------------------
-def test_criterion_1_noise_covariance(tmp_path):
-    """d=1, alpha in {0.3, 0.5, 0.8}, n=4096, 2000 replicas: covariance within
-    10% of dt * r^(-alpha) on [4h, l/8]; under 2 minutes per alpha."""
+def test_criterion_1_noise_covariance(tmp_path, monkeypatch):
+    """d=1, alpha in {0.3, 0.5, 0.8}, n=4096, 2000 replicas on 2 threads:
+    covariance within 10% of dt * r^(-alpha) on [4h, l/8]; under 2 minutes per alpha."""
+    monkeypatch.setenv("SPDELAB_THREADS", "2")
     details = []
     ok = True
     for alpha in ("0.3", "0.5", "0.8"):

@@ -19,7 +19,7 @@ from spdelab.config import (
     fingerprint,
     parse_config_text,
 )
-from spdelab import solver
+from spdelab import noise, solver
 from spdelab.errors import ConfigError
 from spdelab.cli import main
 from spdelab.noise import _amplitudes_cached
@@ -35,8 +35,10 @@ FAST_SIM = [
 ]
 
 
-# small configs for the chunking tests: 5 replicas split unevenly over 2 and 3 threads
+# small configs for the chunking tests: 5 replicas split unevenly over 2 and 3 threads,
+# and 12 noise-check replicas, which cross the 8-replica chunk boundary on one thread
 CHUNK_ARGS = {
+    "noise-check": ["--set", "grid.n=256", "--set", "noise.steps=16", "--replicas", "12"],
     "uniqueness": [*FAST_SIM, "--set", "pair.deltas=0,0.1,0.01"],
     "small-value": [
         "--set", "grid.n=512", "--set", "grid.t_end=0.0015", "--set", "sigma.kind=holder-power",
@@ -55,6 +57,10 @@ GOLDEN_HOLDER = [
     "--set", "holder.snap_every=8", "--set", "holder.lags=2,4,8,16", "--set", "holder.tsteps=16,32,64,128",
     "--replicas", "3", "--seed", "5",
 ]
+
+
+# a small small-value run, for the checks made before step 1
+SMALL_VALUE = ["small-value", "--set", "grid.n=64", "--replicas", "2", "--seed", "5"]
 
 
 # every registered key whose stated default is a concrete value
@@ -269,7 +275,8 @@ class TestExitCodes:
         assert proc.returncode == 4
 
     def test_blow_up_message_names_config_fingerprint(self, tmp_path, capsys):
-        overrides = ["grid.n=64", "grid.t_end=0.01", "kernel.kind=bounded-constant",
+        # lags within n/2 = 32 cells, which holder checks before step 1
+        overrides = ["grid.n=64", "grid.t_end=0.01", "holder.lags=2,4,8,16", "kernel.kind=bounded-constant",
                      "sigma.scale=1e12", "u0.value=1e100", "run.replicas=5", "run.seed=2"]
         cfg = ExperimentConfig.load(None, overrides, defaults=DEFAULT_CONFIG)
         expected = config_fingerprint(cfg.grid(), cfg.kernel(), cfg.sigma(), cfg.u0(), cfg.stream(4))
@@ -281,17 +288,43 @@ class TestExitCodes:
         assert f"(config fingerprint {expected}): non-finite values at step 21 " in err
         assert err.rstrip().endswith("in replica 4")
 
-    @pytest.mark.parametrize(
-        "setting", ["holder.p=0", "holder.p=-1", "holder.snap_every=0", "holder.snap_every=-3"]
-    )
-    def test_bad_moment_order_or_stride_is_3_before_step_one(self, tmp_path, monkeypatch, capsys, setting):
+    @pytest.mark.parametrize("argv, setting, code", [
+        *[pytest.param(GOLDEN_HOLDER, s, 3, id=s)
+          for s in ("holder.p=0", "holder.p=-1", "holder.snap_every=0", "holder.snap_every=-3")],
+        *[pytest.param(GOLDEN_HOLDER, s, 3, id=s) for s in (
+            "holder.lags=2,4,8,40",  # beyond n/2 = 32 cells
+            "holder.lags=2,4,8",  # 2 octaves
+            "holder.tsteps=0,16,32,64",
+            "holder.order=3",
+        )],
+        *[pytest.param(GOLDEN_HOLDER, s, 2, id=s)
+          for s in ("holder.gate_space=0.6,high", "holder.gate_time=0.3")],
+        *[pytest.param(SMALL_VALUE, s, 3, id=f"small-value-{s}") for s in (
+            "grid.dim=2", "smallvalue.eps_cells=4,40", "smallvalue.lags=1,2,4,40", "smallvalue.lags=1,2,4",
+            "holder.order=3",
+        )],
+        pytest.param(SMALL_VALUE, "smallvalue.gate_gap=wide", 2, id="small-value-smallvalue.gate_gap=wide"),
+        # --out names a file, which cannot be made a directory
+        *[pytest.param(argv, None, 3, id=f"{argv[0]}-out-is-a-file")
+          for argv in (GOLDEN_HOLDER, SMALL_VALUE, ["uniqueness", *FAST_SIM], ["simulate", *FAST_SIM],
+                       ["noise-check", "--set", "grid.n=256"])],
+    ])
+    def test_bad_moment_order_or_stride_is_3_before_step_one(self, tmp_path, monkeypatch, capsys,
+                                                             argv, setting, code):
+        """Every check that needs no simulation fails the run before step 1:
+        exit 3 for a precondition, 2 for a malformed gate."""
         def no_draw(*args):
             raise AssertionError("the run reached step 1")
 
         monkeypatch.setattr(solver, "_draw_spectrum", no_draw)
+        monkeypatch.setattr(noise, "_draw_power", no_draw)
         monkeypatch.setenv("SPDELAB_THREADS", "1")
-        assert main([*GOLDEN_HOLDER, "--set", setting, "--out", str(tmp_path / "o")]) == 3
-        assert capsys.readouterr().err.startswith("precondition error:")
+        out = tmp_path / "o"
+        if setting is None:
+            out.write_text("")
+        assert main([*argv, *(["--set", setting] if setting else []), "--out", str(out)]) == code
+        prefix = {2: "config error:", 3: "precondition error:"}[code]
+        assert capsys.readouterr().err.startswith(prefix)
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
     def test_thread_count_that_is_not_a_positive_integer_is_2(self, tmp_path, monkeypatch, capsys, threads):
@@ -403,7 +436,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("command", sorted(CHUNK_ARGS))
     def test_replica_chunks_do_not_change_bytes(self, tmp_path, command):
-        args = [command, *CHUNK_ARGS[command], "--replicas", "5", "--seed", "3"]
+        args = [command, "--replicas", "5", "--seed", "3", *CHUNK_ARGS[command]]
         trees = []
         for threads in ("1", "2", "3"):
             out = tmp_path / threads
@@ -416,7 +449,7 @@ class TestDeterminism:
         # seed 2: replicas 0-3 blow up at step 22 and replica 4 at step 21, so
         # every chunking must report replica 4, the first step's lowest id
         args = [
-            "holder", "--set", "grid.n=64", "--set", "grid.t_end=0.01",
+            "holder", "--set", "grid.n=64", "--set", "grid.t_end=0.01", "--set", "holder.lags=2,4,8,16",
             "--set", "kernel.kind=bounded-constant", "--set", "sigma.scale=1e12",
             "--set", "u0.value=1e100", "--replicas", "5", "--seed", "2",
         ]
@@ -462,30 +495,48 @@ class TestDeterminism:
 
 
 class TestHolderMemory:
+    @staticmethod
+    def traced_peak(out, n, steps, replicas, tsteps):
+        """The traced peak of one 1-D ``holder`` run at ``grid.dt = h^2/2``, snapshots every 4 steps."""
+        _amplitudes_cached.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dt = (1.0 / n) ** 2 / 2
+            code = main(["holder", "--set", f"grid.n={n}", "--set", f"grid.dt={dt!r}",
+                         "--set", f"grid.t_end={steps * dt!r}", "--set", "holder.snap_every=4",
+                         "--set", "holder.lags=2,4,8,16", "--set", f"holder.tsteps={tsteps}",
+                         "--replicas", str(replicas), "--out", str(out)])
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_traced_peak_does_not_grow_with_the_run(self, tmp_path, monkeypatch):
         """``holder`` keeps per-snapshot scalars and the rows of its longest
         time lag (128 rows of 8 KiB here), not every snapshot: doubling the run
         from 250 to 500 snapshots leaves the traced peak within 10%."""
         monkeypatch.setenv("SPDELAB_THREADS", "1")
-        dt = 2.0**-21
 
         def traced_peak(steps):
-            _amplitudes_cached.cache_clear()
-            gc.collect()
-            tracemalloc.start()
-            try:
-                code = main(["holder", "--set", "grid.n=1024", "--set", f"grid.dt={dt!r}",
-                             "--set", f"grid.t_end={steps * dt!r}", "--set", "holder.snap_every=4",
-                             "--set", "holder.lags=2,4,8,16", "--set", "holder.tsteps=64,128,256,512",
-                             "--replicas", "1", "--out", str(tmp_path / str(steps))])
-                assert code == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return self.traced_peak(tmp_path / str(steps), 1024, steps, 1, "64,128,256,512")
 
         traced_peak(600)  # first-call allocations (lazy imports, caches) are not the run's
         short, long = traced_peak(1000), traced_peak(2000)
         assert long <= 1.10 * short, (short, long)
+
+    def test_traced_peak_does_not_grow_with_the_replicas(self, tmp_path, monkeypatch):
+        """The replica runner steps at most 8 replicas at a time, on one thread
+        too: 32 replicas add only their scalars to what 8 hold, so the traced
+        peak grows by at most 25% (one batch of 32 held about 3.5 times as much)."""
+        monkeypatch.setenv("SPDELAB_THREADS", "1")
+
+        def traced_peak(replicas):
+            return self.traced_peak(tmp_path / str(replicas), 512, 200, replicas, "8,16,32,64")
+
+        traced_peak(2)  # first-call allocations (lazy imports, caches) are not the run's
+        few, many = traced_peak(8), traced_peak(32)
+        assert many <= 1.25 * few, (few, many)
 
 
 def sha256_of(out, *names):

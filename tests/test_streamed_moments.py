@@ -18,12 +18,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdelab.cli import _run_replicas
 from spdelab.config import DEFAULT_CONFIG, ExperimentConfig
 from spdelab.errors import InsufficientDataError
 from spdelab.estimators import _moment_rows, _replica_moments, structure_function
 from spdelab.kernels import KernelSpec
-from spdelab.noise import GridSpec
+from spdelab.noise import GridSpec, _run_replicas
 from spdelab.solver import InitialCondition, SigmaSpec, simulate_replicas
 
 SIGMA = SigmaSpec(kind="lipschitz-linear", scale=1.0)
@@ -114,15 +113,15 @@ def test_streamed_moments_equal_the_all_rows_reference(run):
     grid, kspec, times = run["grid"], run["kernel"], run["times"]
     p, order, space_lags, time_lags = run["p"], run["order"], run["space_lags"], run["time_lags"]
     cfg = ExperimentConfig.load(None, [f"run.replicas={run['replicas']}", "run.seed=7"], defaults=DEFAULT_CONFIG)
-    streams = [cfg.stream(r) for r in range(run["replicas"])]
+    streams = cfg.streams()
 
     trajs = simulate_replicas(grid, kspec, SIGMA, U0, streams, times)
     want_space = reference(trajs, p, "space", space_lags, order)
     want_time = reference(trajs, p, "time", time_lags, 1)
 
-    # streamed from the engine, one chunk of replicas per thread, merged in replica order
+    # streamed from the engine in chunks of replicas on a pool of threads, merged in replica order
     with mock.patch.dict(os.environ, {"SPDELAB_THREADS": str(run["threads"])}):
-        scalars = _run_replicas(cfg, lambda chunk: _replica_moments(
+        scalars = _run_replicas(streams, lambda chunk: _replica_moments(
             grid, kspec, SIGMA, U0, chunk, times, p, space_lags, time_lags, order))
     assert_same(outcome(grid, scalars, space_lags, "space"), want_space)
     assert_same(outcome(grid, scalars, time_lags, "time"), want_time)
