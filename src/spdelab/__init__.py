@@ -38,7 +38,6 @@ from .solver import (
     sigma_eval,
     simulate,
     simulate_pairs,
-    simulate_replicas,
 )
 from .ywtools import RhoSpec, YWFamily, a_sequence, build_family, delta_approx_check
 from .estimators import (

@@ -8,9 +8,9 @@ config fingerprint, and the artifact version.  The replicas of
 ``noise-check``, ``holder``, ``uniqueness`` and ``small-value`` run on the
 one runner, ``noise._run_replicas``: contiguous chunks of at most 8 replica
 ids on a pool of ``SPDELAB_THREADS`` workers, merged in replica order, so the
-emitted bytes never depend on scheduling.  Everything that can be checked
-without a simulation is checked before step 1, the output directory
-included.
+emitted bytes never depend on scheduling.  The last three stream per-snapshot
+statistics from the engine; only ``simulate`` keeps a trajectory.  Everything
+checkable without a simulation is checked before step 1, ``--out`` included.
 
 Exit codes: 0 success, 1 failed gate in ``--gated`` mode, 2 config parse
 error, 3 precondition error, 4 numeric failure.
@@ -32,19 +32,23 @@ from .errors import (
     BlowUpError,
     ConfigError,
     DomainError,
+    InputError,
     InsufficientDataError,
     OracleError,
     SpdeLabError,
     SpectralError,
 )
 from .estimators import (
-    _conditioning_lags,
+    _Conditioning,
+    _gap_report,
+    _gap_rows,
     _holder_reports,
+    _in_window,
+    _pair_rows,
     _replica_moments,
     _require_octaves,
-    conditional_regularity,
     default_conditioning_exponent,
-    uniqueness_gap,
+    uniqueness_gap,  # noqa: F401 -- not called here; kept for profilers that wrap cli.uniqueness_gap
 )
 from .kernels import classify_regime
 from .noise import NoiseField, _run_replicas, covariance_check, write_field
@@ -56,7 +60,7 @@ from .oracles import (
     verify_jest,
     verify_pdiffest,
 )
-from .solver import InitialCondition, simulate, simulate_pairs
+from .solver import InitialCondition, simulate
 from .ywtools import RhoSpec, a_sequence, build_family, delta_approx_check
 
 
@@ -217,20 +221,21 @@ def _pair_perturbation(cfg: ExperimentConfig, grid) -> InitialCondition:
     )
 
 
-def _coupled_pairs(cfg: ExperimentConfig, deltas) -> list:
-    """Every replica's pair for every delta, delta-major; a replica's deltas
-    are legs of one batch on its one noise path."""
-    grid, kspec, sspec = cfg.grid(), cfg.kernel(), cfg.sigma()
-    times = _default_snapshots(grid, cfg.get_int("holder.snap_every"))
+def _streamed_pairs(cfg: ExperimentConfig, deltas, times, statistic) -> list:
+    """``estimators._pair_rows`` of every replica on the replica runner: ``[replica][delta]`` row buffers."""
+    grid, kspec, sspec, streams = cfg.grid(), cfg.kernel(), cfg.sigma(), cfg.streams()
+    if not streams:
+        raise InputError("no pairs given")
     pert = _pair_perturbation(cfg, grid)
-    per_replica = _run_replicas(
-        cfg.streams(), lambda streams: simulate_pairs(grid, kspec, sspec, cfg.u0(), pert, deltas, streams, times)
-    )
-    return [pairs[k] for k in range(len(deltas)) for pairs in per_replica]
+    return _run_replicas(streams, lambda chunk: _pair_rows(
+        grid, kspec, sspec, cfg.u0(), pert, deltas, chunk, times, statistic))
 
 
 def _cmd_uniqueness(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
-    report = uniqueness_gap(_coupled_pairs(cfg, cfg.get_floats("pair.deltas")))
+    grid, deltas = cfg.grid(), cfg.get_floats("pair.deltas")
+    times = _default_snapshots(grid, cfg.get_int("holder.snap_every"))
+    per_replica = _streamed_pairs(cfg, deltas, times, lambda diffs: _gap_rows(grid, diffs))
+    report = _gap_report(times, deltas, per_replica)
     rows = []
     for d in report.deltas:
         for t, l1, sup in zip(report.times, report.median_l1[d], report.median_sup[d]):
@@ -255,11 +260,11 @@ def _cmd_small_value(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
         xi = default_conditioning_exponent(kspec.alpha, sspec.gamma)
     eps_values = [g * grid.h for g in cfg.get_ints("smallvalue.eps_cells")]
     lags = [g * grid.h for g in cfg.get_ints("smallvalue.lags")]
-    p, order = cfg.get_float("holder.p"), cfg.get_int("holder.order")
-    _conditioning_lags(grid, eps_values, p, lags, order)  # before step 1
+    delta, p, order = cfg.get_float("smallvalue.delta"), cfg.get_float("holder.p"), cfg.get_int("holder.order")
+    conditioning = _Conditioning(grid, [delta], xi, eps_values, p, lags, order)  # checks before step 1
     gate_gap = cfg.get_float("smallvalue.gate_gap")
-    pairs = _coupled_pairs(cfg, [cfg.get_float("smallvalue.delta")])
-    result = conditional_regularity(pairs, xi=xi, eps_values=eps_values, p=p, lags=lags, order=order)
+    times = [t for t in _default_snapshots(grid, cfg.get_int("holder.snap_every")) if _in_window(grid, t)]
+    result = conditioning.result([rows for (rows,) in _streamed_pairs(cfg, [delta], times, conditioning.rows)])
     rows = []
     for eps, rep, gap in zip(result.eps_values, result.conditional, result.gaps):
         rows.append(

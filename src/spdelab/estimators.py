@@ -13,20 +13,24 @@ flatten the measured slope.  First differences remain the default and the
 contractual meaning of :func:`structure_function`.
 
 Every estimator here shares one periodic increment helper and one window,
-``[grid.t_min, grid.t_end]``.  Structure-function moments are streamed:
-``_Moments`` takes one snapshot at a time, as the engine's observer
-(``holder``) or replaying stored rows (:func:`structure_function`), keeps
-per-snapshot scalars and only the rows the longest time lag still needs, and
-reduces them at the end in one fixed order.  The one lattice check is the
-grid's: :meth:`GridSpec.cells` turns a spatial lag or a conditioning scale
-``eps`` into whole cells (to 1e-9 of a cell, in ``[1, n/2]``), and
-:meth:`GridSpec.steps` turns a time lag into whole ``dt`` steps (to 1e-6 of a
-step, at least one); anything else is an InputError, raised when ``_Moments``
-is built, before the engine's step 1.  Snapshots are matched by their recorded
-``steps``, each to the one exactly the lag's number of steps later.  ``p`` must
-be finite and > 0, and ``order`` 1 or 2.  Every
-exponent is the slope of the package's one log-log least-squares fit, divided
-by ``p``; a :class:`HolderReport` keeps the MomentRows it fitted in ``rows``.
+``[grid.t_min, grid.t_end]``, and is streamed: the engine's observer takes a
+statistic of each snapshot row, a reducer pools the rows at the end in one
+fixed order, and the public function replays stored rows through both.
+``_Moments`` (``holder``, :func:`structure_function`) keeps per-snapshot
+scalars and only the rows the longest time lag still needs.  ``_pair_rows``
+(``uniqueness``, ``small-value``) takes a statistic of the differences leg 0
+minus leg k + 1: ``_gap_rows`` (:func:`uniqueness_gap`) or
+``_Conditioning.rows`` (:func:`conditional_regularity`).  The one lattice
+check is the grid's: :meth:`GridSpec.cells` turns a spatial lag or a
+conditioning scale ``eps`` into whole cells (to 1e-9 of a cell, in
+``[1, n/2]``), and :meth:`GridSpec.steps` turns a time lag into whole ``dt``
+steps (to 1e-6 of a step, at least one); anything else is an InputError,
+raised when ``_Moments`` or ``_Conditioning`` is built, before the engine's
+step 1.  Snapshots are matched by their recorded ``steps``, each to the one
+exactly the lag's number of steps later.  ``p`` must be finite and > 0, and
+``order`` 1 or 2.  Every exponent is the slope of the package's one log-log
+least-squares fit, divided by ``p``; a :class:`HolderReport` keeps the
+MomentRows it fitted in ``rows``.
 
 Small-value conditioning restricts the anchors of the structure function to
 space-time points where the difference field of a coupled pair is below
@@ -46,7 +50,7 @@ from scipy.ndimage import minimum_filter1d
 
 from ._fit import fit_loglog
 from .errors import DomainError, InputError, InsufficientDataError
-from .solver import SolutionPair, Trajectory, _integrate
+from .solver import SolutionPair, Trajectory, _integrate, _pair_legs
 
 _WINDOW_TOL = 1e-9
 
@@ -266,17 +270,6 @@ def default_conditioning_exponent(alpha: float, gamma: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _conditioning_lags(grid, eps_values, p, lags, order):
-    """What :func:`conditional_regularity` checks before it reads a pair, and the CLI before step 1:
-    dim 1, ``p`` and ``order``, lags over 3 octaves (default 1, 2, 4, 8 cells), and every lag and
-    ``eps`` a whole number of cells.  Returns the lags, their cells and the cells of each ``eps``."""
-    if grid.dim != 1:
-        raise DomainError("small-value conditioning is implemented for dim 1")
-    _require_p(p, order)
-    lags = _require_octaves([grid.h * g for g in (1, 2, 4, 8)] if lags is None else lags)
-    return lags, [grid.cells(lag) for lag in lags], [grid.cells(eps) for eps in eps_values]
-
-
 @dataclass(frozen=True)
 class ConditionalRegularityResult:
     xi: float
@@ -285,6 +278,63 @@ class ConditionalRegularityResult:
     conditional: tuple
     gaps: tuple
     occupancy: dict
+
+
+class _Conditioning:
+    """Small-value conditioning as a per-row statistic, :meth:`rows`, of in-window pair
+    differences and a reducer, :meth:`result`, of those rows pooled replica-major.  Building
+    it makes every check that needs no pair, so the CLI makes them before step 1: no delta of
+    0, dim 1, ``p`` and ``order``, lags over 3 octaves (default 1, 2, 4, 8 cells), and every
+    lag and ``eps`` a whole number of cells."""
+
+    def __init__(self, grid, deltas, xi, eps_values, p, lags, order):
+        if any(d == 0.0 for d in deltas):
+            raise DomainError("conditioning degenerate: delta = 0 pair has identically zero difference")
+        if grid.dim != 1:
+            raise DomainError("small-value conditioning is implemented for dim 1")
+        _require_p(p, order)
+        self.grid, self.xi, self.eps_values, self.p, self.order = grid, xi, list(eps_values), p, order
+        self.lags = _require_octaves([grid.h * g for g in (1, 2, 4, 8)] if lags is None else lags)
+        self.cells = [grid.cells(lag) for lag in self.lags]
+        self.filters = [(2 * grid.cells(eps) + 1, float(eps) ** xi) for eps in self.eps_values]
+
+    def rows(self, diffs) -> np.ndarray:
+        """One row per row of ``diffs``: its peak ``|diff|``; then the anchor counts of every anchor
+        set, which is every anchor, then for each ``eps`` the anchors within ``eps`` of a point where
+        ``|diff| <= eps^xi``; then each set's sum of ``|increment|^p`` at each lag."""
+        mag = np.abs(diffs)
+        powers = list(_increment_powers(diffs, self.p, self.order, self.cells))
+        masks = [np.ones_like(mag, bool)] + [minimum_filter1d(mag, w, mode="wrap") <= t for w, t in self.filters]
+        sums = [[np.sum(pw[r][m[r]]) for r in range(len(diffs))] for m in masks for pw in powers]
+        return np.column_stack([np.max(mag, axis=-1), *(np.count_nonzero(m, axis=-1) for m in masks), *sums])
+
+    def result(self, per_replica) -> ConditionalRegularityResult:
+        """The fits over every anchor (unconditional) and for each ``eps`` of each replica's rows, summed
+        replica-major; fails loudly on no row, an identically zero difference, or < 100 anchors at an eps."""
+        sets = 1 + len(self.eps_values)
+        rows = np.concatenate([np.reshape(rows, (-1, 1 + sets * (1 + len(self.lags)))) for rows in per_replica])
+        if not len(rows):
+            raise InputError("no difference snapshots in window")
+        if np.max(rows[:, 0]) == 0.0:
+            raise DomainError("conditioning degenerate: difference field is identically zero")
+        sums = rows[:, 1 + sets:].reshape(len(rows), sets, len(self.lags))
+        fits, occupancy = [], {}
+        for j, eps in enumerate([None, *self.eps_values]):
+            anchors = int(np.sum(rows[:, 1 + j]))
+            if eps is not None:
+                occupancy[float(eps)] = anchors / (len(rows) * self.grid.n)
+                if anchors < 100:
+                    raise InsufficientDataError(
+                        f"conditioning set at eps={eps} has {anchors} anchors (need >= 100)",
+                        n_samples=anchors, occupancy=occupancy)
+            totals = np.cumsum(sums[:, j], axis=0)[-1]  # each lag's sum taken row by row, not pairwise
+            moments = [MomentRow(lag=float(lag), moment=float(total) / anchors, stderr=0.0, n_samples=anchors)
+                       for lag, total in zip(self.lags, totals)]
+            fits.append(_fit_report(moments, "space", self.p, self.order, anchors))
+        unconditional, *conditional = fits
+        gaps = tuple(rep.exponent - unconditional.exponent for rep in conditional)
+        return ConditionalRegularityResult(float(self.xi), tuple(map(float, self.eps_values)), unconditional,
+                                           tuple(conditional), gaps, occupancy)
 
 
 def conditional_regularity(
@@ -308,72 +358,12 @@ def conditional_regularity(
     pairs = [pair] if isinstance(pair, SolutionPair) else list(pair)
     if not pairs:
         raise InputError("no pairs given")
-    if any(pr.delta == 0.0 for pr in pairs):
-        raise DomainError("conditioning degenerate: delta = 0 pair has identically zero difference")
     grid = pairs[0].grid
     if any(pr.grid != grid for pr in pairs):
         raise InputError("pairs must share a grid")
-    lags, cells, windows = _conditioning_lags(grid, eps_values, p, lags, order)
-
-    snaps = [row for pr in pairs for t, row in zip(pr.times, pr.diffs) if _in_window(grid, t)]
-    if not snaps:
-        raise InputError("no difference snapshots in window")
-    if max(float(np.max(np.abs(row))) for row in snaps) == 0.0:
-        raise DomainError("conditioning degenerate: difference field is identically zero")
-
-    # each snapshot's |increment|^p at each lag, computed once for every fit, one row at a time
-    powers = list(zip(*[[pw[0] for pw in _increment_powers(row[None], p, order, cells)] for row in snaps]))
-
-    def report(masks):
-        """Fit of the anchor-pooled moments; ``masks[i]`` selects snapshot
-        ``i``'s anchors, None selects them all."""
-        rows = []
-        for lag_powers, lag in zip(powers, lags):
-            acc, cnt = 0.0, 0
-            for pw, mask in zip(lag_powers, masks):
-                m = grid.n if mask is None else int(np.count_nonzero(mask))
-                if m == 0:
-                    continue
-                acc += float(np.sum(pw if mask is None else pw[mask]))
-                cnt += m
-            if cnt == 0:
-                raise InsufficientDataError("empty anchor set", n_samples=0)
-            rows.append(MomentRow(lag=float(lag), moment=acc / cnt, stderr=0.0, n_samples=cnt))
-        return _fit_report(rows, "space", p, order, rows[0].n_samples)
-
-    unconditional = report([None] * len(snaps))
-
-    conditional = []
-    gaps = []
-    occupancy = {}
-    for eps, w in zip(eps_values, windows):
-        thresh = float(eps) ** xi
-        masks = []
-        occupied = 0
-        for row in snaps:
-            local_min = minimum_filter1d(np.abs(row), size=2 * w + 1, mode="wrap")
-            mask = local_min <= thresh
-            occupied += int(np.count_nonzero(mask))
-            masks.append(mask)
-        occupancy[float(eps)] = occupied / (len(snaps) * grid.n)
-        if occupied < 100:
-            raise InsufficientDataError(
-                f"conditioning set at eps={eps} has {occupied} anchors (need >= 100)",
-                n_samples=occupied,
-                occupancy=occupancy,
-            )
-        rep = report(masks)
-        conditional.append(rep)
-        gaps.append(rep.exponent - unconditional.exponent)
-
-    return ConditionalRegularityResult(
-        xi=float(xi),
-        eps_values=tuple(float(e) for e in eps_values),
-        unconditional=unconditional,
-        conditional=tuple(conditional),
-        gaps=tuple(gaps),
-        occupancy=occupancy,
-    )
+    conditioning = _Conditioning(grid, [pr.delta for pr in pairs], xi, eps_values, p, lags, order)
+    return conditioning.result([conditioning.rows(pr.diffs[[_in_window(grid, t) for t in pr.times]])
+                                for pr in pairs])
 
 
 @dataclass(frozen=True)
@@ -388,6 +378,30 @@ class UniquenessReport:
     monotone_in_delta: bool
 
 
+def _gap_rows(grid, diffs) -> np.ndarray:
+    """One row ``(int |diff| dx, sup |diff|)`` per row of ``diffs``."""
+    mag = np.abs(diffs).reshape(len(diffs), -1)
+    return np.column_stack([np.sum(mag, axis=-1) * grid.h**grid.dim, np.max(mag, axis=-1)])
+
+
+def _gap_report(times, deltas, per_replica) -> UniquenessReport:
+    """The decay table of ``per_replica[r][k]``, the ``_gap_rows`` of replica ``r``'s pair for ``deltas[k]``:
+    per delta, the median over its pairs of each statistic at each snapshot and of each pair's peak L1."""
+    by_delta: dict = {}
+    for pairs in per_replica:
+        for delta, rows in zip(deltas, pairs):
+            by_delta.setdefault(float(delta), []).append(np.reshape(rows, (-1, 2)))
+    median_l1, median_sup, peak_l1 = {}, {}, {}
+    for d, group in by_delta.items():
+        l1, sup = np.moveaxis(np.array(group), -1, 0)
+        median_l1[d] = np.median(l1, axis=0)
+        median_sup[d] = np.median(sup, axis=0)
+        peak_l1[d] = float(np.median(np.max(l1, axis=1)))
+    nonzero = [d for d in sorted(by_delta) if d > 0]
+    monotone = all(peak_l1[a] < peak_l1[b] for a, b in zip(nonzero, nonzero[1:]))
+    return UniquenessReport(tuple(sorted(by_delta)), tuple(times), median_l1, median_sup, peak_l1, monotone)
+
+
 def uniqueness_gap(pairs) -> UniquenessReport:
     """Summarize coupled-pair divergence across perturbation sizes.
 
@@ -399,38 +413,23 @@ def uniqueness_gap(pairs) -> UniquenessReport:
     pairs = list(pairs)
     if not pairs:
         raise InputError("no pairs given")
-    times = pairs[0].times
-    grid = pairs[0].grid
-    cell = grid.h**grid.dim
-    for pr in pairs[1:]:
-        if pr.times != times or pr.grid != grid:
-            raise InputError("pairs must share snapshot times and grid")
+    times, grid = pairs[0].times, pairs[0].grid
+    if any(pr.times != times or pr.grid != grid for pr in pairs[1:]):
+        raise InputError("pairs must share snapshot times and grid")
+    return _gap_report(times, [pr.delta for pr in pairs], [[_gap_rows(grid, pr.diffs) for pr in pairs]])
 
-    by_delta: dict = {}
-    for pr in pairs:
-        by_delta.setdefault(float(pr.delta), []).append(pr)
 
-    deltas = tuple(sorted(by_delta))
-    median_l1, median_sup, peak_l1 = {}, {}, {}
-    for d, group in by_delta.items():
-        l1, sup = [], []
-        for pr in group:
-            diffs = pr.diffs
-            l1.append([np.sum(np.abs(row)) * cell for row in diffs])
-            sup.append([np.max(np.abs(row)) for row in diffs])
-        l1, sup = np.array(l1), np.array(sup)
-        median_l1[d] = np.median(l1, axis=0)
-        median_sup[d] = np.median(sup, axis=0)
-        peak_l1[d] = float(np.median(np.max(l1, axis=1)))
-    nonzero = [d for d in deltas if d > 0]
-    monotone = all(
-        peak_l1[a] < peak_l1[b] for a, b in zip(nonzero, nonzero[1:])
-    )
-    return UniquenessReport(
-        deltas=deltas,
-        times=tuple(times),
-        median_l1=median_l1,
-        median_sup=median_sup,
-        peak_l1=peak_l1,
-        monotone_in_delta=monotone,
-    )
+def _pair_rows(grid, kspec, sspec, u0_spec, perturbation, deltas, streams, snapshot_times, statistic) -> list:
+    """Coupled pairs of one batch of ``streams``, streamed from the engine: at each snapshot, ``statistic``
+    of the ``(replicas, *grid)`` differences ``leg 0 - leg k + 1`` of ``deltas[k]`` gives a row per replica.
+    Keeps no snapshot; returns ``[replica][delta]`` ``array("d")`` buffers of the rows, back to back."""
+    rows = [[array("d") for _ in deltas] for _ in streams]
+
+    def observe(step, time, stack):
+        for k in range(len(deltas)):
+            for out, row in zip(rows, statistic(stack[:, 0] - stack[:, k + 1])):
+                out[k].extend(row)
+
+    legs = _pair_legs(grid, u0_spec, perturbation, deltas)
+    _integrate(grid, kspec, sspec, u0_spec, [legs] * len(streams), streams, snapshot_times, observe)
+    return rows

@@ -19,8 +19,9 @@ perturbation.  Each (replica, leg) row is bitwise the run it would be alone.
 A :class:`Trajectory` holds its snapshots as one ``(snapshots, *grid)``
 array, ``values``, with the integer step of each row in ``steps`` and the
 requested time in ``times``; snapshot ``i`` is ``values[i]``, recorded after
-``steps[i]`` steps.  Estimators pair snapshots by these steps, never by
-converting a time back into a step.
+``steps[i]`` steps; estimators pair snapshots by these steps, never by their
+times.  Only :func:`simulate` and :func:`simulate_pairs` record snapshots
+(``_recorded``); every other consumer observes the engine (``_integrate``).
 """
 
 from __future__ import annotations
@@ -225,7 +226,8 @@ def _integrate(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: Ini
     ``(replicas, legs, *grid)`` stack, and call ``observe(step, time, stack)``
     at every snapshot step; returns the ``(replicas, legs)`` clip statistics
     ``(count, max)``.  The engine keeps no snapshot; its observer copies what
-    it needs (``_recorded``: every row; ``estimators._Moments``: scalars).
+    it needs (``_recorded``, for ``simulate`` and ``simulate_pairs``: every row;
+    ``estimators._Moments`` and ``estimators._pair_rows``: per-row statistics).
 
     Step ``m`` draws replica ``r``'s ``dW`` from ``streams[r].at_step(m - 1)``
     and broadcasts it over that replica's legs.  The call builds one Philox
@@ -317,21 +319,6 @@ def _recorded(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: Init
     return [trajectories(r, *clips, complete=True) for r in range(len(streams))]
 
 
-def simulate_replicas(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: InitialCondition,
-                      streams, snapshot_times, clip: bool = False) -> list[Trajectory]:
-    """Integrate one trajectory per stream as one batch; entry ``r`` is
-    bitwise ``simulate`` with ``streams[r]``.  A blow-up error carries the
-    ``partial_trajectory`` of the replica it names.
-    """
-    legs0 = [[u0_spec.evaluate(grid)]] * len(streams)
-    try:
-        batch = _recorded(grid, kspec, sspec, u0_spec, legs0, streams, snapshot_times, clip)
-    except BlowUpError as err:
-        (err.partial_trajectory,) = err.partial_trajectories
-        raise
-    return [traj for (traj,) in batch]
-
-
 def simulate(
     grid: GridSpec,
     kspec: KernelSpec,
@@ -349,7 +336,12 @@ def simulate(
     well-defined for negative values because the square-root coefficients
     clamp internally.  A blow-up error carries ``partial_trajectory``.
     """
-    (traj,) = simulate_replicas(grid, kspec, sspec, u0_spec, [stream], snapshot_times, clip)
+    try:
+        ((traj,),) = _recorded(grid, kspec, sspec, u0_spec, [[u0_spec.evaluate(grid)]], [stream], snapshot_times,
+                               clip)
+    except BlowUpError as err:
+        (err.partial_trajectory,) = err.partial_trajectories
+        raise
     return traj
 
 
@@ -384,6 +376,13 @@ def _pairs(deltas, trajs: list[Trajectory]) -> list[SolutionPair]:
     ]
 
 
+def _pair_legs(grid: GridSpec, u0_spec: InitialCondition, perturbation: InitialCondition | None, deltas) -> list:
+    """One replica's legs ``[u0] + [u0 + d * perturbation for d in deltas]``; a delta of 0 repeats ``u0``."""
+    u0 = u0_spec.evaluate(grid)
+    pert = perturbation.evaluate(grid) if perturbation is not None and any(deltas) else None
+    return [u0] + [u0 + d * pert if d != 0.0 and pert is not None else u0 for d in deltas]
+
+
 def simulate_pairs(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: InitialCondition,
                    perturbation: InitialCondition | None, deltas, streams,
                    snapshot_times) -> list[list[SolutionPair]]:
@@ -396,9 +395,7 @@ def simulate_pairs(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec:
     reproduces leg 0 bitwise.  A blow-up error carries the ``partial_pairs``
     of the replica it names, diffs up to the last good snapshot.
     """
-    u0 = u0_spec.evaluate(grid)
-    pert = perturbation.evaluate(grid) if perturbation is not None and any(deltas) else None
-    legs = [u0] + [u0 + d * pert if d != 0.0 and pert is not None else u0 for d in deltas]
+    legs = _pair_legs(grid, u0_spec, perturbation, deltas)
     try:
         batch = _recorded(grid, kspec, sspec, u0_spec, [legs] * len(streams), streams, snapshot_times)
     except BlowUpError as err:

@@ -20,7 +20,7 @@ import pytest
 
 from spdelab import cli
 from spdelab.config import ExperimentConfig
-from spdelab.estimators import critical_exponent_limit, exponent_recursion, uniqueness_gap
+from spdelab.estimators import _gap_report, _gap_rows, critical_exponent_limit, exponent_recursion, uniqueness_gap
 from spdelab.kernels import (
     NO_FUNCTION_SOLUTION,
     OPEN,
@@ -291,7 +291,8 @@ def test_batched_runs_match_per_replica_runs(tmp_path, monkeypatch):
         for d in deltas
         for r in range(3)
     ]
-    assert uniqueness_gap(cli._coupled_pairs(cfg, deltas)).peak_l1 == uniqueness_gap(alone).peak_l1
+    streamed = cli._streamed_pairs(cfg, deltas, times, lambda diffs: _gap_rows(grid, diffs))
+    assert _gap_report(times, deltas, streamed).peak_l1 == uniqueness_gap(alone).peak_l1
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,7 @@ class TestExitCodes:
           for s in ("holder.gate_space=0.6,high", "holder.gate_time=0.3")],
         *[pytest.param(SMALL_VALUE, s, 3, id=f"small-value-{s}") for s in (
             "grid.dim=2", "smallvalue.eps_cells=4,40", "smallvalue.lags=1,2,4,40", "smallvalue.lags=1,2,4",
-            "holder.order=3",
+            "holder.order=3", "smallvalue.delta=0",
         )],
         pytest.param(SMALL_VALUE, "smallvalue.gate_gap=wide", 2, id="small-value-smallvalue.gate_gap=wide"),
         # --out names a file, which cannot be made a directory
@@ -494,23 +494,27 @@ class TestDeterminism:
         assert len(rows) >= 2
 
 
+def traced_peak(argv):
+    """The traced peak of one in-process CLI run, which must exit 0."""
+    _amplitudes_cached.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestHolderMemory:
     @staticmethod
     def traced_peak(out, n, steps, replicas, tsteps):
         """The traced peak of one 1-D ``holder`` run at ``grid.dt = h^2/2``, snapshots every 4 steps."""
-        _amplitudes_cached.cache_clear()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            dt = (1.0 / n) ** 2 / 2
-            code = main(["holder", "--set", f"grid.n={n}", "--set", f"grid.dt={dt!r}",
-                         "--set", f"grid.t_end={steps * dt!r}", "--set", "holder.snap_every=4",
-                         "--set", "holder.lags=2,4,8,16", "--set", f"holder.tsteps={tsteps}",
-                         "--replicas", str(replicas), "--out", str(out)])
-            assert code == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        dt = (1.0 / n) ** 2 / 2
+        return traced_peak(["holder", "--set", f"grid.n={n}", "--set", f"grid.dt={dt!r}",
+                            "--set", f"grid.t_end={steps * dt!r}", "--set", "holder.snap_every=4",
+                            "--set", "holder.lags=2,4,8,16", "--set", f"holder.tsteps={tsteps}",
+                            "--replicas", str(replicas), "--out", str(out)])
 
     def test_traced_peak_does_not_grow_with_the_run(self, tmp_path, monkeypatch):
         """``holder`` keeps per-snapshot scalars and the rows of its longest
@@ -537,6 +541,44 @@ class TestHolderMemory:
         traced_peak(2)  # first-call allocations (lazy imports, caches) are not the run's
         few, many = traced_peak(8), traced_peak(32)
         assert many <= 1.25 * few, (few, many)
+
+
+class TestPairMemory:
+    """``uniqueness`` and ``small-value`` stream per-row statistics of the pair
+    differences from the engine and keep no snapshot."""
+
+    @pytest.mark.parametrize("command, config, settings, t_end", [
+        # n = 1024: 1024 and 2048 steps, a snapshot every 32
+        pytest.param("uniqueness", "criterion6_pairs.conf", ["grid.n=1024"], 0.5, id="uniqueness"),
+        # 2000 and 4000 h^2: 4000 and 8000 steps, a snapshot every 62
+        pytest.param("small-value", "criterion7_smallvalue.conf", [], 0.0019073486328125, id="small-value"),
+    ])
+    def test_traced_peak_does_not_grow_with_the_run(self, tmp_path, monkeypatch, command, config, settings, t_end):
+        """Doubling the horizon of a 1-replica run leaves the traced peak within
+        10% (+1% and +2% here); recording every snapshot of every leg, it grew
+        by 86% (``uniqueness``) and 104% (``small-value``)."""
+        monkeypatch.setenv("SPDELAB_THREADS", "1")
+
+        def run(name, horizon):
+            argv = [command, "--config", str(ACCEPTANCE_CONFIGS / config), "--replicas", "1"]
+            for setting in [*settings, f"grid.t_end={horizon!r}"]:
+                argv += ["--set", setting]
+            return traced_peak([*argv, "--out", str(tmp_path / name)])
+
+        run("warm", t_end)  # first-call allocations (lazy imports, caches) are not the run's
+        short, long = run("short", t_end), run("long", 2 * t_end)
+        assert long <= 1.10 * short, (short, long)
+
+    @pytest.mark.parametrize("command", ["uniqueness", "small-value"])
+    def test_no_snapshot_is_recorded(self, tmp_path, monkeypatch, command):
+        """Only ``simulate`` records a trajectory (``solver._recorded``)."""
+        def no_record(*args, **kwargs):
+            raise AssertionError(f"{command} recorded snapshots")
+
+        monkeypatch.setattr(solver, "_recorded", no_record)
+        monkeypatch.setenv("SPDELAB_THREADS", "2")
+        argv = [command, *CHUNK_ARGS[command], "--replicas", "3", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
 
 
 def sha256_of(out, *names):

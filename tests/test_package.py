@@ -19,7 +19,7 @@ def test_public_names_are_pinned():
         "delta_approx_check", "errors", "estimators", "exponent_recursion", "heat_kernel",
         "kernel_eval", "kernels", "negative_moment_constant",
         "noise", "read_field", "semigroup_multiplier", "sigma_eval", "simulate", "simulate_pairs",
-        "simulate_replicas", "solver", "spectral_amplitudes", "spectral_density",
+        "solver", "spectral_amplitudes", "spectral_density",
         "structure_function", "synthesize", "uniqueness_gap", "write_field",
         "ywtools",
     ]

@@ -22,7 +22,6 @@ from spdelab.solver import (
     sigma_eval,
     simulate,
     simulate_pairs,
-    simulate_replicas,
 )
 
 
@@ -277,11 +276,12 @@ class TestSimulate:
         u0 = InitialCondition(kind="constant", value=1e100)
         streams = [RngStream(2, r) for r in range(5)]
         with pytest.raises(BlowUpError) as exc:
-            simulate_replicas(g, k, sig, u0, streams, [m * g.dt for m in range(0, 81, 8)])
+            _recorded(g, k, sig, u0, [[u0.evaluate(g)]] * len(streams), streams, [m * g.dt for m in range(0, 81, 8)])
         err = exc.value
         assert err.replica_id == 4
         assert err.fingerprint == config_fingerprint(g, k, sig, u0, streams[4])
-        assert err.fingerprint == err.partial_trajectory.fingerprint
+        (partial,) = err.partial_trajectories
+        assert err.fingerprint == partial.fingerprint
         assert err.fingerprint != config_fingerprint(g, k, sig, u0, streams[0])
 
     def test_clip_counting_for_viot(self):
@@ -324,10 +324,10 @@ class TestSteps:
         assert traj.values.shape == (len(self.STEPS), g.n)
         assert all(row.flags.c_contiguous for row in traj.values)
 
-    def test_simulate_replicas(self):
+    def test_recorded_replicas(self):
         g, k, sig, u0, times = self.case()
-        trajs = simulate_replicas(g, k, sig, u0, [RngStream(3, r) for r in range(3)], times)
-        assert [t.steps for t in trajs] == [self.STEPS] * 3
+        batch = _recorded(g, k, sig, u0, [[u0.evaluate(g)]] * 3, [RngStream(3, r) for r in range(3)], times)
+        assert [t.steps for (t,) in batch] == [self.STEPS] * 3
 
     def test_simulate_pairs(self):
         g, k, sig, u0, times = self.case()
@@ -485,8 +485,8 @@ class TestBatch:
         u0 = InitialCondition(kind="constant", value=1.0)
         streams = [RngStream(5, r) for r in (0, 1, 2)]
         times = [0.0, 8 * g.dt, 16 * g.dt]
-        batch = simulate_replicas(g, k, sig, u0, streams, times)
-        for stream, traj in zip(streams, batch, strict=True):
+        batch = _recorded(g, k, sig, u0, [[u0.evaluate(g)]] * len(streams), streams, times)
+        for stream, (traj,) in zip(streams, batch, strict=True):
             assert_same_run(traj, simulate(g, k, sig, u0, stream, times))
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -526,12 +526,13 @@ class TestBatch:
         first = min(alone, key=lambda e: (e.step_index, e.replica_id))
         assert first.replica_id != 0
         with pytest.raises(BlowUpError) as exc:
-            simulate_replicas(g, k, sig, u0, streams, times)
+            _recorded(g, k, sig, u0, [[u0.evaluate(g)]] * len(streams), streams, times)
         err = exc.value
         assert (str(err), err.step_index, err.replica_id) == (str(first), first.step_index, first.replica_id)
         assert f"in replica {first.replica_id}" in str(err)
-        assert not err.partial_trajectory.complete
-        assert_same_run(err.partial_trajectory, first.partial_trajectory)
+        (partial,) = err.partial_trajectories
+        assert not partial.complete
+        assert_same_run(partial, first.partial_trajectory)
         with pytest.raises(BlowUpError) as exc:
             simulate_pairs(g, k, sig, u0, pert, [0.0, 0.1], streams, times)
         assert str(exc.value) == str(first)

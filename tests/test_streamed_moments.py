@@ -23,7 +23,7 @@ from spdelab.errors import InsufficientDataError
 from spdelab.estimators import _moment_rows, _replica_moments, structure_function
 from spdelab.kernels import KernelSpec
 from spdelab.noise import GridSpec, _run_replicas
-from spdelab.solver import InitialCondition, SigmaSpec, simulate_replicas
+from spdelab.solver import InitialCondition, SigmaSpec, simulate
 
 SIGMA = SigmaSpec(kind="lipschitz-linear", scale=1.0)
 U0 = InitialCondition(kind="constant", value=1.0)
@@ -115,7 +115,7 @@ def test_streamed_moments_equal_the_all_rows_reference(run):
     cfg = ExperimentConfig.load(None, [f"run.replicas={run['replicas']}", "run.seed=7"], defaults=DEFAULT_CONFIG)
     streams = cfg.streams()
 
-    trajs = simulate_replicas(grid, kspec, SIGMA, U0, streams, times)
+    trajs = [simulate(grid, kspec, SIGMA, U0, stream, times) for stream in streams]
     want_space = reference(trajs, p, "space", space_lags, order)
     want_time = reference(trajs, p, "time", time_lags, 1)
 
