@@ -18,8 +18,9 @@ statistic of each snapshot row, a reducer pools the rows at the end in one
 fixed order, and the public function replays stored rows through both.
 ``_Moments`` (``holder``, :func:`structure_function`) keeps per-snapshot
 scalars and only the rows the longest time lag still needs.  ``_pair_rows``
-(``uniqueness``, ``small-value``) takes a statistic of the differences leg 0
-minus leg k + 1: ``_gap_rows`` (:func:`uniqueness_gap`) or
+(``uniqueness``, ``small-value``) hands the engine the perturbation and
+deltas to build the legs from, and takes a statistic of the differences
+leg 0 minus leg k + 1: ``_gap_rows`` (:func:`uniqueness_gap`) or
 ``_Conditioning.rows`` (:func:`conditional_regularity`).  The one lattice
 check is the grid's: :meth:`GridSpec.cells` turns a spatial lag or a
 conditioning scale ``eps`` into whole cells (to 1e-9 of a cell, in
@@ -50,7 +51,7 @@ from scipy.ndimage import minimum_filter1d
 
 from ._fit import fit_loglog
 from .errors import DomainError, InputError, InsufficientDataError
-from .solver import SolutionPair, Trajectory, _integrate, _pair_legs
+from .solver import SolutionPair, Trajectory, _integrate
 
 _WINDOW_TOL = 1e-9
 
@@ -149,8 +150,7 @@ class _Moments:
 def _replica_moments(grid, kspec, sspec, u0_spec, streams, snapshot_times, p, space_lags, time_lags, order=1):
     """``_Moments.scalars`` of one batch of ``streams``, keeping no snapshot."""
     moments = _Moments(grid, len(streams), p, space_lags, time_lags, order)
-    _integrate(grid, kspec, sspec, u0_spec, [[u0_spec.evaluate(grid)]] * len(streams), streams,
-               snapshot_times, moments)
+    _integrate(grid, kspec, sspec, u0_spec, streams, snapshot_times, moments)
     return moments.scalars
 
 
@@ -380,13 +380,15 @@ class UniquenessReport:
 
 def _gap_rows(grid, diffs) -> np.ndarray:
     """One row ``(int |diff| dx, sup |diff|)`` per row of ``diffs``."""
-    mag = np.abs(diffs).reshape(len(diffs), -1)
+    mag = np.abs(diffs).reshape(len(diffs), grid.n_cells)
     return np.column_stack([np.sum(mag, axis=-1) * grid.h**grid.dim, np.max(mag, axis=-1)])
 
 
 def _gap_report(times, deltas, per_replica) -> UniquenessReport:
     """The decay table of ``per_replica[r][k]``, the ``_gap_rows`` of replica ``r``'s pair for ``deltas[k]``:
     per delta, the median over its pairs of each statistic at each snapshot and of each pair's peak L1."""
+    if not times:
+        raise InputError("no snapshots given")
     by_delta: dict = {}
     for pairs in per_replica:
         for delta, rows in zip(deltas, pairs):
@@ -430,6 +432,6 @@ def _pair_rows(grid, kspec, sspec, u0_spec, perturbation, deltas, streams, snaps
             for out, row in zip(rows, statistic(stack[:, 0] - stack[:, k + 1])):
                 out[k].extend(row)
 
-    legs = _pair_legs(grid, u0_spec, perturbation, deltas)
-    _integrate(grid, kspec, sspec, u0_spec, [legs] * len(streams), streams, snapshot_times, observe)
+    _integrate(grid, kspec, sspec, u0_spec, streams, snapshot_times, observe, perturbation=perturbation,
+               deltas=deltas)
     return rows

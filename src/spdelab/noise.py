@@ -26,12 +26,12 @@ Randomness is counter-based: every (master_seed, replica_id, step_index)
 triple keys an independent Philox stream, so replicas and steps can be
 generated in any order, concurrently, with bit-identical results.  Since the
 (key, counter) pair *is* a Philox generator's state (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11), the engine and the covariance
-check build one generator per batch and re-key it for every draw
-(``_rekey``), which gives the bits of a new generator for that stream.
-That is what lets ``_run_replicas``, the one replica runner of every Monte
-Carlo subcommand, cut the replicas into any chunks on any number of threads
-and still give the same bytes.
+random numbers: as easy as 1, 2, 3", SC'11), the one draw path of the
+engine and the covariance check, ``_increments``, builds one generator per
+batch and re-keys it for every draw (``_rekey``), which gives the bits of a
+new generator for that stream.  That is what lets ``_run_replicas``, the one
+replica runner of every Monte Carlo subcommand, cut the replicas into any
+chunks on any number of threads and still give the same bytes.
 """
 
 from __future__ import annotations
@@ -147,8 +147,8 @@ class RngStream:
 
     Distinct triples give statistically independent Philox streams; the same
     triple always reproduces the same draws bit-for-bit.  :meth:`generator`
-    is the reference definition of a stream's draws; the engine gets the same
-    bits from one Philox re-keyed per draw (``_rekey``), because a Philox
+    is the reference definition of a stream's draws; ``_increments`` gets the
+    same bits from one Philox re-keyed per draw (``_rekey``), because a Philox
     generator's state is just its (key, counter) pair (Salmon et al., SC'11).
     """
 
@@ -311,22 +311,24 @@ def _draw_spectrum(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generato
         edge[n // 2 + 1:] = np.conj(edge[n // 2 - 1:0:-1])
 
 
-def _draw_power(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``|S|^2`` at ``kx = 0..n/2`` of ``S = _draw_spectrum(grid, mode_std, rng)``, summed over ``ky``.
+def _increments(grid: GridSpec, kspec: KernelSpec, streams, count: int):
+    """The one draw path of the engine and the covariance check: for each step ``m < count``, one
+    ``(len(streams), *half-spectrum)`` buffer, refilled in place, whose row ``r`` is the ``_draw_spectrum``
+    increment over ``grid.dt`` of ``streams[r].at_step(m)``.  The call checks the mode masses and ``count <=
+    2^32``, and builds the one Philox and the buffer, before the first draw; each draw re-keys that Philox
+    (``_rekey``), so its bits are those of ``streams[r].at_step(m).generator()``."""
+    mode_std = _amplitudes_cached(grid.dim, grid.n, grid.l, kspec) * np.sqrt(grid.dt)
+    if count > _TWO32:
+        raise DomainError(f"{count} steps need step indices past the 32 bits of a stream")
+    rng = np.random.Generator(np.random.Philox(0))  # re-keyed for every draw
+    spectra = np.empty((len(streams),) + grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
 
-    1-D: formed from the normal rows with no complex array, bitwise ``|S|^2``.
-    2-D: the edge columns count once, each interior column at ``kx`` and ``-kx``."""
-    if grid.dim == 1:
-        g = rng.standard_normal((2, grid.n // 2 + 1))
-        a = mode_std[: grid.n // 2 + 1]
-        power = (a * (g[0] * np.sqrt(0.5))) ** 2 + (a * (g[1] * np.sqrt(0.5))) ** 2
-        power[[0, -1]] = (a[[0, -1]] * g[0, [0, -1]]) ** 2  # the real modes
-        return power
-    s = np.empty((grid.n, grid.n // 2 + 1), dtype=complex)
-    _draw_spectrum(grid, mode_std, rng, s)
-    p = s.real**2 + s.imag**2
-    inner = p[:, 1:-1].sum(axis=1)
-    return (p[:, 0] + p[:, -1] + inner + np.roll(inner[::-1], 1))[: grid.n // 2 + 1]
+    def draw(m):
+        for stream, spectrum in zip(streams, spectra):
+            _draw_spectrum(grid, mode_std, _rekey(rng, stream, m), spectrum)
+        return spectra
+
+    return map(draw, range(count))
 
 
 def synthesize(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -386,36 +388,35 @@ def covariance_check(
 
     Each replica is one stream that contributes ``steps_per_replica``
     independent increments (distinct step indices).  The replicas run on
-    ``_run_replicas``, and each chunk draws from one generator re-keyed per
-    draw.  No field is formed: by Wiener-Khinchin, ``mean(x * roll(x, g))``
-    of the field ``x = irfft(S, norm="forward")`` is ``irfft(n * |S|^2)[g]``,
-    so each replica sums the power of its drawn spectra ``S`` (in 2-D, summed
-    over ``ky``) and takes one ``irfft``.  The per-replica rows are merged in
+    ``_run_replicas``, and each chunk draws from ``_increments``.  No field
+    is formed: by Wiener-Khinchin, ``mean(x * roll(x, g))`` of the field
+    ``x = irfft(S, norm="forward")`` is ``irfft(n * |S|^2)[g]``, so each
+    replica sums the power of its drawn spectra ``S`` (in 2-D, summed over
+    ``ky``) and takes one ``irfft``.  The per-replica rows are merged in
     replica order, so the result does not depend on ``SPDELAB_THREADS``.
     The standard error comes from the spread of the per-replica means.  With a
     single increment per replica the estimator is noise-limited at large lags
     (its variance is dominated by the grid-scale mollified singularity), so
     tight tolerances need ``steps_per_replica`` well above 1.
     """
-    if not 1 <= steps_per_replica <= _TWO32:
-        raise DomainError("steps_per_replica must lie in [1, 2^32]")
+    if steps_per_replica < 1:
+        raise DomainError("steps_per_replica must be >= 1")
     if replicas < 2:
         raise InsufficientDataError(f"need >= 2 replicas, got {replicas}", n_samples=replicas)
     offsets = [grid.cells(lag, lo=0) for lag in lags]
     if 0 in offsets and kspec.is_singular:
         raise SingularKernelError("lag 0 excluded: riesz kernel is singular at separation 0")
-    amps = spectral_amplitudes(grid, kspec) * np.sqrt(grid.dt)
     n, nh = grid.n, grid.n // 2 + 1
 
     def batch(streams):
-        rng = np.random.Generator(np.random.Philox(0))  # re-keyed for every draw
-        rows = []
-        for stream in streams:
-            power = np.zeros(nh)
-            for m in range(steps_per_replica):
-                power += _draw_power(grid, amps, _rekey(rng, stream, m))
-            rows.append(np.fft.irfft(n * power, n)[offsets] / steps_per_replica)
-        return rows
+        power = np.zeros((len(streams), nh))
+        for spectra in _increments(grid, kspec, streams, steps_per_replica):
+            p = spectra.real**2 + spectra.imag**2
+            if grid.dim == 2:
+                inner = p[..., 1:-1].sum(axis=-1)
+                p = (p[..., 0] + p[..., -1] + inner + np.roll(inner[:, ::-1], 1, axis=-1))[:, :nh]
+            power += p
+        return [np.fft.irfft(n * row, n)[offsets] / steps_per_replica for row in power]
 
     per_replica = np.array(_run_replicas([RngStream(master_seed, r) for r in range(replicas)], batch))
     return [

@@ -8,8 +8,9 @@ only sets the temporal resolution of the noise.
 
 Every run is one batch of shape ``(replicas, legs, *grid)`` stepped by one
 loop.  Each replica draws its own ``dW`` per step from its
-``(seed, replica, step)`` stream, and its legs share it: a single run is one
-leg, and the coupled pairs of every perturbation size are legs
+``(seed, replica, step)`` stream (``noise._increments``), and its legs share
+it.  The engine builds the legs from the specs it is given: a single run is
+one leg, and the coupled pairs of every perturbation size are legs
 ``[u0] + [u0 + delta * pert for delta in deltas]`` on one noise path.  That
 is the setting in which pathwise uniqueness is probed numerically: the
 difference field of a pair started from identical data is identically zero,
@@ -39,8 +40,7 @@ from .errors import (
     InputError,
 )
 from .kernels import KernelSpec, semigroup_multiplier
-from .noise import GridSpec, RngStream, read_field
-from .noise import _TWO32, _amplitudes_cached, _draw_spectrum, _fields, _rekey
+from .noise import GridSpec, RngStream, _fields, _increments, read_field
 
 SIGMA_KINDS = ("lipschitz-linear", "holder-power", "sqrt-plus", "viot", "table")
 
@@ -220,30 +220,35 @@ def _snapshot_steps(grid: GridSpec, snapshot_times) -> dict[int, float]:
     return dict(zip(steps, times))
 
 
-def _integrate(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: InitialCondition,
-               legs0, streams, snapshot_times, observe, clip: bool = False):
-    """Step the initial fields ``legs0``, nested ``[replica][leg]``, as one
-    ``(replicas, legs, *grid)`` stack, and call ``observe(step, time, stack)``
-    at every snapshot step; returns the ``(replicas, legs)`` clip statistics
-    ``(count, max)``.  The engine keeps no snapshot; its observer copies what
-    it needs (``_recorded``, for ``simulate`` and ``simulate_pairs``: every row;
-    ``estimators._Moments`` and ``estimators._pair_rows``: per-row statistics).
+def _integrate(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: InitialCondition, streams,
+               snapshot_times, observe, clip: bool = False, perturbation: InitialCondition | None = None,
+               deltas=()):
+    """Step one ``(replicas, legs, *grid)`` stack and call ``observe(step,
+    time, stack)`` at every snapshot step; returns the ``(replicas, legs)``
+    clip statistics ``(count, max)``.  Every replica starts from the same legs,
+    built once here: ``[u0] + [u0 + d * perturbation for d in deltas]``, where
+    a delta of 0 (or no perturbation) repeats ``u0``.  The engine keeps no
+    snapshot; its observer copies what it needs (``_recorded``, for
+    ``simulate`` and ``simulate_pairs``: every row; ``estimators._Moments``
+    and ``estimators._pair_rows``: per-row statistics).
 
-    Step ``m`` draws replica ``r``'s ``dW`` from ``streams[r].at_step(m - 1)``
-    and broadcasts it over that replica's legs.  The call builds one Philox
-    generator and re-keys it for each draw, so its draws are bitwise those of
-    ``streams[r].at_step(m - 1).generator()``, into one ``(replicas,
-    *half-spectrum)`` buffer; step indices past the 32 bits of a stream are
-    rejected before step 1.  The step is then ``u + sigma(u) dW`` followed by
-    the heat semigroup's FFT pair, per (replica, leg) row, so every row is
-    bitwise the run it would be on its own.  A blow-up stops the batch at the
-    first non-finite step; the BlowUpError names that step, the lowest replica
-    id at it and its config fingerprint, and carries its batch ``row`` and the
-    ``clip_stats`` so far, for the caller to read its observer's partial record.
+    Step ``m`` takes replica ``r``'s ``dW`` from row ``r`` of the ``m - 1``-th
+    buffer of ``noise._increments``, the draw of ``streams[r].at_step(m -
+    1)``, and broadcasts it over that replica's legs; the mode masses and the
+    32-bit step bound are checked there, before step 0 is observed.  The step
+    is then ``u + sigma(u) dW`` followed by the heat semigroup's FFT pair, per
+    (replica, leg) row, so every row is bitwise the run it would be on its
+    own.  A blow-up stops the batch at the first non-finite step; the
+    BlowUpError names that step, the lowest replica id at it and its config
+    fingerprint, and carries its batch ``row`` and the ``clip_stats`` so far,
+    for the caller to read its observer's partial record.
     """
     dt = grid.dt
+    u0 = u0_spec.evaluate(grid)
+    pert = perturbation.evaluate(grid) if perturbation is not None and any(deltas) else None
+    legs = [u0] + [u0 + d * pert if d != 0.0 and pert is not None else u0 for d in deltas]
     want = _snapshot_steps(grid, snapshot_times)
-    mode_std = _amplitudes_cached(grid.dim, grid.n, grid.l, kspec) * np.sqrt(dt)
+    draws = _increments(grid, kspec, streams, max(want, default=0))
     xi = np.fft.rfftfreq(grid.n, d=grid.h)
     if grid.dim == 1:
         rfft, irfft, size = np.fft.rfft, np.fft.irfft, grid.n
@@ -251,54 +256,49 @@ def _integrate(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: Ini
         rfft, irfft, size = np.fft.rfft2, np.fft.irfft2, grid.shape
         xi = np.stack(np.meshgrid(np.fft.fftfreq(grid.n, d=grid.h), xi, indexing="ij"), axis=-1)
     multiplier = semigroup_multiplier(xi, dt, grid.dim)
-    u = np.array(legs0, dtype=float)
+    u = np.array([legs] * len(streams), dtype=float)
     shape = u.shape[:2]
     grid_axes = tuple(range(2, u.ndim))
     hi = 1.0 if sspec.kind == "viot" else np.inf
     clip_count = np.zeros(shape, dtype=np.int64)
     clip_max = np.zeros(shape)
 
-    last = max(want, default=0)
-    if last - 1 >= _TWO32:
-        raise DomainError(f"snapshot step {last} needs step index {last - 1}, past the 32 bits of a stream")
-    rng = np.random.Generator(np.random.Philox(0))  # re-keyed for every draw
-    spectra = np.empty((len(streams),) + multiplier.shape, dtype=complex)
-    for m in range(last + 1):
-        if m > 0:
-            for s, spectrum in zip(streams, spectra):
-                _draw_spectrum(grid, mode_std, _rekey(rng, s, m - 1), spectrum)
-            dw = _fields(grid, spectra)[:, None]
-            # overflowing states produce inf/nan here, turned into a blow-up
-            # error with the offending step index just below
-            with np.errstate(invalid="ignore", over="ignore"):
-                u = irfft(rfft(u + sigma_eval(sspec, u) * dw) * multiplier, size)
-            finite = np.isfinite(u)
-            if not np.all(finite):
-                r = int(np.argmin(finite.reshape(shape[0], -1).all(axis=1)))
-                rid = streams[r].replica_id
-                err = BlowUpError(f"non-finite values at step {m} (t={m * dt}) in replica {rid}",
-                                  step_index=m, replica_id=rid,
-                                  fingerprint=config_fingerprint(grid, kspec, sspec, u0_spec, streams[r]))
-                err.row, err.clip_stats = r, (clip_count, clip_max)
-                raise err
-            if clip:
-                mask = (u < 0.0) | (u > hi)
-                if np.any(mask):
-                    clipped = np.clip(u, 0.0, hi)
-                    clip_count += np.count_nonzero(mask, axis=grid_axes)
-                    clip_max = np.maximum(clip_max, np.max(np.abs(u - clipped), axis=grid_axes))
-                    u = clipped
+    if 0 in want:
+        observe(0, want[0], u)
+    for m, spectra in enumerate(draws, start=1):
+        dw = _fields(grid, spectra)[:, None]
+        # overflowing states produce inf/nan here, turned into a blow-up
+        # error with the offending step index just below
+        with np.errstate(invalid="ignore", over="ignore"):
+            u = irfft(rfft(u + sigma_eval(sspec, u) * dw) * multiplier, size)
+        finite = np.isfinite(u)
+        if not np.all(finite):
+            r = int(np.argmin(finite.reshape(shape[0], -1).all(axis=1)))
+            rid = streams[r].replica_id
+            err = BlowUpError(f"non-finite values at step {m} (t={m * dt}) in replica {rid}",
+                              step_index=m, replica_id=rid,
+                              fingerprint=config_fingerprint(grid, kspec, sspec, u0_spec, streams[r]))
+            err.row, err.clip_stats = r, (clip_count, clip_max)
+            raise err
+        if clip:
+            mask = (u < 0.0) | (u > hi)
+            if np.any(mask):
+                clipped = np.clip(u, 0.0, hi)
+                clip_count += np.count_nonzero(mask, axis=grid_axes)
+                clip_max = np.maximum(clip_max, np.max(np.abs(u - clipped), axis=grid_axes))
+                u = clipped
         if m in want:
             observe(m, want[m], u)
     return clip_count, clip_max
 
 
-def _recorded(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: InitialCondition,
-              legs0, streams, snapshot_times, clip: bool = False) -> list[list[Trajectory]]:
+def _recorded(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: InitialCondition, streams,
+              snapshot_times, clip: bool = False, perturbation: InitialCondition | None = None,
+              deltas=()) -> list[list[Trajectory]]:
     """``_integrate`` recording every snapshot: Trajectories ``[replica][leg]``, views ``buf[:, r, k]`` of
     one buffer.  A blow-up error carries its replica's ``partial_trajectories`` (``complete=False``)."""
     snapshot_times = list(snapshot_times)
-    buf = np.empty((len(snapshot_times), len(legs0), len(legs0[0])) + grid.shape)
+    buf = np.empty((len(snapshot_times), len(streams), 1 + len(deltas)) + grid.shape)
     steps, times = [], []
 
     def record(step, time, stack):
@@ -312,7 +312,7 @@ def _recorded(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: Init
                            complete) for k in range(buf.shape[2])]
 
     try:
-        clips = _integrate(grid, kspec, sspec, u0_spec, legs0, streams, snapshot_times, record, clip)
+        clips = _integrate(grid, kspec, sspec, u0_spec, streams, snapshot_times, record, clip, perturbation, deltas)
     except BlowUpError as err:
         err.partial_trajectories = trajectories(err.row, *err.clip_stats, complete=False)
         raise
@@ -337,8 +337,7 @@ def simulate(
     clamp internally.  A blow-up error carries ``partial_trajectory``.
     """
     try:
-        ((traj,),) = _recorded(grid, kspec, sspec, u0_spec, [[u0_spec.evaluate(grid)]], [stream], snapshot_times,
-                               clip)
+        ((traj,),) = _recorded(grid, kspec, sspec, u0_spec, [stream], snapshot_times, clip)
     except BlowUpError as err:
         (err.partial_trajectory,) = err.partial_trajectories
         raise
@@ -376,13 +375,6 @@ def _pairs(deltas, trajs: list[Trajectory]) -> list[SolutionPair]:
     ]
 
 
-def _pair_legs(grid: GridSpec, u0_spec: InitialCondition, perturbation: InitialCondition | None, deltas) -> list:
-    """One replica's legs ``[u0] + [u0 + d * perturbation for d in deltas]``; a delta of 0 repeats ``u0``."""
-    u0 = u0_spec.evaluate(grid)
-    pert = perturbation.evaluate(grid) if perturbation is not None and any(deltas) else None
-    return [u0] + [u0 + d * pert if d != 0.0 and pert is not None else u0 for d in deltas]
-
-
 def simulate_pairs(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec: InitialCondition,
                    perturbation: InitialCondition | None, deltas, streams,
                    snapshot_times) -> list[list[SolutionPair]]:
@@ -395,9 +387,9 @@ def simulate_pairs(grid: GridSpec, kspec: KernelSpec, sspec: SigmaSpec, u0_spec:
     reproduces leg 0 bitwise.  A blow-up error carries the ``partial_pairs``
     of the replica it names, diffs up to the last good snapshot.
     """
-    legs = _pair_legs(grid, u0_spec, perturbation, deltas)
     try:
-        batch = _recorded(grid, kspec, sspec, u0_spec, [legs] * len(streams), streams, snapshot_times)
+        batch = _recorded(grid, kspec, sspec, u0_spec, streams, snapshot_times, perturbation=perturbation,
+                          deltas=deltas)
     except BlowUpError as err:
         err.partial_pairs = _pairs(deltas, err.partial_trajectories)
         raise

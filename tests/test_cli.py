@@ -304,6 +304,9 @@ class TestExitCodes:
             "holder.order=3", "smallvalue.delta=0",
         )],
         pytest.param(SMALL_VALUE, "smallvalue.gate_gap=wide", 2, id="small-value-smallvalue.gate_gap=wide"),
+        # checked by noise._increments, before its first draw
+        *[pytest.param(["noise-check", "--set", "grid.n=256"], s, 3, id=f"noise-check-{s}")
+          for s in ("noise.steps=4294967297", "kernel.alpha=1.5")],
         # --out names a file, which cannot be made a directory
         *[pytest.param(argv, None, 3, id=f"{argv[0]}-out-is-a-file")
           for argv in (GOLDEN_HOLDER, SMALL_VALUE, ["uniqueness", *FAST_SIM], ["simulate", *FAST_SIM],
@@ -316,8 +319,7 @@ class TestExitCodes:
         def no_draw(*args):
             raise AssertionError("the run reached step 1")
 
-        monkeypatch.setattr(solver, "_draw_spectrum", no_draw)
-        monkeypatch.setattr(noise, "_draw_power", no_draw)
+        monkeypatch.setattr(noise, "_draw_spectrum", no_draw)
         monkeypatch.setenv("SPDELAB_THREADS", "1")
         out = tmp_path / "o"
         if setting is None:

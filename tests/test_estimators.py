@@ -6,6 +6,9 @@ import pytest
 from spdelab._fit import fit_loglog
 from spdelab.errors import DomainError, InputError, InsufficientDataError
 from spdelab.estimators import (
+    _gap_report,
+    _gap_rows,
+    _pair_rows,
     _require_octaves,
     conditional_regularity,
     critical_exponent_limit,
@@ -319,6 +322,21 @@ class TestUniquenessGap:
         rep = uniqueness_gap(pairs)
         assert rep.monotone_in_delta
         assert rep.peak_l1[0.01] < rep.peak_l1[0.1]
+
+    def test_no_snapshot_is_an_input_error(self):
+        """Pairs run with no snapshot time: replayed and streamed, the decay table is an InputError."""
+        grid = grid1d(n=64)
+        k = KernelSpec(kind="riesz", alpha=0.5)
+        u0 = InitialCondition(kind="constant", value=1.0)
+        pert = InitialCondition(kind="bump", center=0.5, width=0.1, height=1.0)
+        deltas, streams = [0.0, 0.1], [RngStream(2, r) for r in range(2)]
+        batch = simulate_pairs(grid, k, SigmaSpec(), u0, pert, deltas, streams, [])
+        with pytest.raises(InputError, match="no snapshots given"):
+            uniqueness_gap([pair for pairs in batch for pair in pairs])
+        per_replica = _pair_rows(grid, k, SigmaSpec(), u0, pert, deltas, streams, [],
+                                 lambda diffs: _gap_rows(grid, diffs))
+        with pytest.raises(InputError, match="no snapshots given"):
+            _gap_report([], deltas, per_replica)
 
     def test_mismatched_pairs_rejected(self):
         _, a = _noisy_pair(delta=0.1, n=128)

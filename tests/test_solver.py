@@ -13,7 +13,7 @@ from spdelab.noise import (
     synthesize,
     write_field,
 )
-from spdelab import solver
+from spdelab import noise
 from spdelab.solver import (
     InitialCondition,
     SigmaSpec,
@@ -276,7 +276,7 @@ class TestSimulate:
         u0 = InitialCondition(kind="constant", value=1e100)
         streams = [RngStream(2, r) for r in range(5)]
         with pytest.raises(BlowUpError) as exc:
-            _recorded(g, k, sig, u0, [[u0.evaluate(g)]] * len(streams), streams, [m * g.dt for m in range(0, 81, 8)])
+            _recorded(g, k, sig, u0, streams, [m * g.dt for m in range(0, 81, 8)])
         err = exc.value
         assert err.replica_id == 4
         assert err.fingerprint == config_fingerprint(g, k, sig, u0, streams[4])
@@ -326,7 +326,7 @@ class TestSteps:
 
     def test_recorded_replicas(self):
         g, k, sig, u0, times = self.case()
-        batch = _recorded(g, k, sig, u0, [[u0.evaluate(g)]] * 3, [RngStream(3, r) for r in range(3)], times)
+        batch = _recorded(g, k, sig, u0, [RngStream(3, r) for r in range(3)], times)
         assert [t.steps for (t,) in batch] == [self.STEPS] * 3
 
     def test_simulate_pairs(self):
@@ -369,7 +369,7 @@ class TestStepIndexBits:
         def draw(*args):
             raise Stepped
 
-        monkeypatch.setattr(solver, "_draw_spectrum", draw)
+        monkeypatch.setattr(noise, "_draw_spectrum", draw)
         g = GridSpec(dim=1, n=4, l=1.0, dt=1.0, t_end=1.0)
         with pytest.raises(error):
             simulate(g, KernelSpec(kind="white"), SigmaSpec(), InitialCondition(), RngStream(1), [float(last)])
@@ -463,12 +463,12 @@ class TestBatch:
         k = KernelSpec(kind="riesz", alpha=0.5, amplitude=200.0)
         sig = SigmaSpec(kind="holder-power", gamma=0.7)
         u0 = InitialCondition(kind="constant", value=0.05)
-        start_b = u0.evaluate(g) + 0.37 * InitialCondition(kind="sine", k=2).evaluate(g)
+        sine = InitialCondition(kind="sine", k=2)
+        start_b = u0.evaluate(g) + 0.37 * sine.evaluate(g)
         u0_b = file_ic(g, k, start_b, tmp_path / "u0b.bin")
         streams = [RngStream(21, r) for r in (0, 1, 2)]
         times = [0.0, 8 * g.dt, 16 * g.dt]
-        legs0 = [[u0.evaluate(g), start_b]] * len(streams)
-        batch = _recorded(g, k, sig, u0, legs0, streams, times, clip=True)
+        batch = _recorded(g, k, sig, u0, streams, times, clip=True, perturbation=sine, deltas=[0.37])
         for stream, (leg_a, leg_b) in zip(streams, batch, strict=True):
             assert_same_run(leg_a, simulate(g, k, sig, u0, stream, times, clip=True))
             alone_b = simulate(g, k, sig, u0_b, stream, times, clip=True)
@@ -485,7 +485,7 @@ class TestBatch:
         u0 = InitialCondition(kind="constant", value=1.0)
         streams = [RngStream(5, r) for r in (0, 1, 2)]
         times = [0.0, 8 * g.dt, 16 * g.dt]
-        batch = _recorded(g, k, sig, u0, [[u0.evaluate(g)]] * len(streams), streams, times)
+        batch = _recorded(g, k, sig, u0, streams, times)
         for stream, (traj,) in zip(streams, batch, strict=True):
             assert_same_run(traj, simulate(g, k, sig, u0, stream, times))
 
@@ -526,7 +526,7 @@ class TestBatch:
         first = min(alone, key=lambda e: (e.step_index, e.replica_id))
         assert first.replica_id != 0
         with pytest.raises(BlowUpError) as exc:
-            _recorded(g, k, sig, u0, [[u0.evaluate(g)]] * len(streams), streams, times)
+            _recorded(g, k, sig, u0, streams, times)
         err = exc.value
         assert (str(err), err.step_index, err.replica_id) == (str(first), first.step_index, first.replica_id)
         assert f"in replica {first.replica_id}" in str(err)
