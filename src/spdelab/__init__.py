@@ -50,4 +50,11 @@ from .estimators import (
     uniqueness_gap,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "GridSpec", "HolderReport", "InitialCondition", "KernelSpec", "NoiseField", "RegimeVerdict", "RhoSpec",
+    "RngStream", "SigmaSpec", "SolutionPair", "Trajectory", "UniquenessReport", "YWFamily", "a_sequence",
+    "build_family", "classify_regime", "conditional_regularity", "critical_exponent_limit", "delta_approx_check",
+    "exponent_recursion", "heat_kernel", "kernel_eval", "negative_moment_constant", "read_field",
+    "semigroup_multiplier", "sigma_eval", "simulate", "simulate_pairs", "spectral_amplitudes",
+    "spectral_density", "structure_function", "synthesize", "uniqueness_gap", "write_field",
+]

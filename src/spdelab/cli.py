@@ -8,9 +8,13 @@ config fingerprint, and the artifact version.  The replicas of
 ``noise-check``, ``holder``, ``uniqueness`` and ``small-value`` run on the
 one runner, ``noise._run_replicas``: contiguous chunks of at most 8 replica
 ids on a pool of ``SPDELAB_THREADS`` workers, merged in replica order, so the
-emitted bytes never depend on scheduling.  The last three stream per-snapshot
-statistics from the engine; only ``simulate`` keeps a trajectory.  Everything
-checkable without a simulation is checked before step 1, ``--out`` included.
+emitted bytes never depend on scheduling.  The last three each call one
+streamed estimator (:func:`~spdelab.estimators.structure_function`,
+:func:`~spdelab.estimators.uniqueness_gap`,
+:func:`~spdelab.estimators.conditional_regularity`), which takes per-snapshot
+statistics from the engine; only ``simulate`` keeps a trajectory.
+Everything checkable without a simulation is checked before step 1,
+``--out`` and the 32-bit step bound included.
 
 Exit codes: 0 success, 1 failed gate in ``--gated`` mode, 2 config parse
 error, 3 precondition error, 4 numeric failure.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -32,26 +37,21 @@ from .errors import (
     BlowUpError,
     ConfigError,
     DomainError,
-    InputError,
     InsufficientDataError,
     OracleError,
     SpdeLabError,
     SpectralError,
 )
 from .estimators import (
-    _Conditioning,
-    _gap_report,
-    _gap_rows,
     _holder_reports,
-    _in_window,
-    _pair_rows,
-    _replica_moments,
     _require_octaves,
+    conditional_regularity,
     default_conditioning_exponent,
-    uniqueness_gap,  # noqa: F401 -- not called here; kept for profilers that wrap cli.uniqueness_gap
+    structure_function,
+    uniqueness_gap,
 )
 from .kernels import classify_regime
-from .noise import NoiseField, _run_replicas, covariance_check, write_field
+from .noise import NoiseField, _require_steps, covariance_check, write_field
 from .oracles import (
     space_difference_riesz,
     time_difference_riesz,
@@ -93,10 +93,14 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 
 
 def _default_snapshots(grid, every: int):
+    """The time of every ``every``-th step up to ``t_end``.  The last one's step is held to the engine's
+    32-bit rule before the list is built."""
     if not every >= 1:
         raise DomainError(f"snapshot stride must be at least 1 step, got {every}")
-    total = int(round(grid.t_end / grid.dt))
-    return [m * grid.dt for m in range(0, total + 1, every)]
+    total = grid.t_end / grid.dt
+    last = grid.steps(int(round(total)) // every * every * grid.dt) if math.isfinite(total) else total
+    _require_steps(last)
+    return [m * grid.dt for m in range(0, int(round(total)) + 1, every)]
 
 
 # ---------------------------------------------------------------- subcommands
@@ -181,9 +185,8 @@ def _cmd_holder(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
     if any(len(band) not in (0, 2) for band in bands):
         raise ConfigError("holder.gate_space and holder.gate_time must each be empty or two numbers lo,hi")
     times = _default_snapshots(grid, cfg.get_int("holder.snap_every"))
-    scalars = _run_replicas(cfg.streams(), lambda streams: _replica_moments(
-        grid, kspec, sspec, cfg.u0(), streams, times, p, space_lags, time_lags, order))
-    rep_s, rep_t = _holder_reports(grid, scalars, p, space_lags, time_lags, order)
+    tables = structure_function(grid, kspec, sspec, cfg.u0(), cfg.streams(), times, p, space_lags, time_lags, order)
+    rep_s, rep_t = _holder_reports(tables, p, order)
 
     _write_csv(
         out / "structure.csv",
@@ -221,21 +224,11 @@ def _pair_perturbation(cfg: ExperimentConfig, grid) -> InitialCondition:
     )
 
 
-def _streamed_pairs(cfg: ExperimentConfig, deltas, times, statistic) -> list:
-    """``estimators._pair_rows`` of every replica on the replica runner: ``[replica][delta]`` row buffers."""
-    grid, kspec, sspec, streams = cfg.grid(), cfg.kernel(), cfg.sigma(), cfg.streams()
-    if not streams:
-        raise InputError("no pairs given")
-    pert = _pair_perturbation(cfg, grid)
-    return _run_replicas(streams, lambda chunk: _pair_rows(
-        grid, kspec, sspec, cfg.u0(), pert, deltas, chunk, times, statistic))
-
-
 def _cmd_uniqueness(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
     grid, deltas = cfg.grid(), cfg.get_floats("pair.deltas")
     times = _default_snapshots(grid, cfg.get_int("holder.snap_every"))
-    per_replica = _streamed_pairs(cfg, deltas, times, lambda diffs: _gap_rows(grid, diffs))
-    report = _gap_report(times, deltas, per_replica)
+    report = uniqueness_gap(grid, cfg.kernel(), cfg.sigma(), cfg.u0(), _pair_perturbation(cfg, grid), deltas,
+                            cfg.streams(), times)
     rows = []
     for d in report.deltas:
         for t, l1, sup in zip(report.times, report.median_l1[d], report.median_sup[d]):
@@ -261,10 +254,10 @@ def _cmd_small_value(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
     eps_values = [g * grid.h for g in cfg.get_ints("smallvalue.eps_cells")]
     lags = [g * grid.h for g in cfg.get_ints("smallvalue.lags")]
     delta, p, order = cfg.get_float("smallvalue.delta"), cfg.get_float("holder.p"), cfg.get_int("holder.order")
-    conditioning = _Conditioning(grid, [delta], xi, eps_values, p, lags, order)  # checks before step 1
     gate_gap = cfg.get_float("smallvalue.gate_gap")
-    times = [t for t in _default_snapshots(grid, cfg.get_int("holder.snap_every")) if _in_window(grid, t)]
-    result = conditioning.result([rows for (rows,) in _streamed_pairs(cfg, [delta], times, conditioning.rows)])
+    times = _default_snapshots(grid, cfg.get_int("holder.snap_every"))
+    result = conditional_regularity(grid, kspec, sspec, cfg.u0(), _pair_perturbation(cfg, grid), delta,
+                                    cfg.streams(), times, xi, eps_values, p, lags, order)
     rows = []
     for eps, rep, gap in zip(result.eps_values, result.conditional, result.gaps):
         rows.append(
@@ -327,7 +320,7 @@ def _cmd_yw(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
 def _cmd_oracle(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
     alpha = cfg.get_float("oracle.alpha")
     n_cases = cfg.get_int("oracle.cases")
-    rng = np.random.Generator(np.random.Philox(key=cfg.get_int("run.seed")))
+    rng = cfg.stream().generator()
     cases = []
     fits = []
 

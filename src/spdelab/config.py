@@ -14,6 +14,7 @@ Every key and its default is stated once, in ``DEFAULT_CONFIG`` or
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -204,7 +205,7 @@ class ExperimentConfig:
     def grid(self) -> GridSpec:
         n = self.get_int("grid.n")
         l = self.get_float("grid.l")
-        h = l / n
+        h = l / n if n else math.nan  # GridSpec rejects n = 0 with its own message
         return GridSpec(
             dim=self.get_int("grid.dim"),
             n=n,

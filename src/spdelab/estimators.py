@@ -9,26 +9,26 @@ the white-noise limits 1/2 and 1/4).
 Increments of order 2 (``u(x+l) - 2 u(x) + u(x-l)``) are available for the
 spatial direction: they annihilate the slowly equilibrating large-scale modes
 of a finite-horizon run, which otherwise leak into first differences and
-flatten the measured slope.  First differences remain the default and the
-contractual meaning of :func:`structure_function`.
+flatten the measured slope.  First differences remain the default, and the
+only increments in time.
 
 Every estimator here shares one periodic increment helper and one window,
-``[grid.t_min, grid.t_end]``, and is streamed: the engine's observer takes a
-statistic of each snapshot row, a reducer pools the rows at the end in one
-fixed order, and the public function replays stored rows through both.
-``_Moments`` (``holder``, :func:`structure_function`) keeps per-snapshot
-scalars and only the rows the longest time lag still needs.  ``_pair_rows``
-(``uniqueness``, ``small-value``) hands the engine the perturbation and
-deltas to build the legs from, and takes a statistic of the differences
-leg 0 minus leg k + 1: ``_gap_rows`` (:func:`uniqueness_gap`) or
+``[grid.t_min, grid.t_end]``, and each public one is a streamed run:
+``noise._run_replicas`` steps chunks of replicas through the engine, whose
+observer takes a statistic of each snapshot row, and a reducer pools the rows
+at the end in one fixed order; no snapshot is kept.  ``_Moments``
+(:func:`structure_function`) keeps per-snapshot scalars and only the rows the
+longest time lag still needs.  ``_pair_rows`` hands the engine the
+perturbation and deltas to build the legs from, and takes a statistic of the
+differences leg 0 minus leg k + 1: ``_gap_rows`` (:func:`uniqueness_gap`) or
 ``_Conditioning.rows`` (:func:`conditional_regularity`).  The one lattice
 check is the grid's: :meth:`GridSpec.cells` turns a spatial lag or a
 conditioning scale ``eps`` into whole cells (to 1e-9 of a cell, in
 ``[1, n/2]``), and :meth:`GridSpec.steps` turns a time lag into whole ``dt``
 steps (to 1e-6 of a step, at least one); anything else is an InputError,
 raised when ``_Moments`` or ``_Conditioning`` is built, before the engine's
-step 1.  Snapshots are matched by their recorded ``steps``, each to the one
-exactly the lag's number of steps later.  ``p`` must be finite and > 0, and
+step 1.  Snapshots are matched by their ``steps``, each to the one exactly
+the lag's number of steps later.  ``p`` must be finite and > 0, and
 ``order`` 1 or 2.  Every exponent is the slope of the package's one log-log
 least-squares fit, divided by ``p``; a :class:`HolderReport` keeps the
 MomentRows it fitted in ``rows``.
@@ -51,7 +51,8 @@ from scipy.ndimage import minimum_filter1d
 
 from ._fit import fit_loglog
 from .errors import DomainError, InputError, InsufficientDataError
-from .solver import SolutionPair, Trajectory, _integrate
+from .noise import _run_replicas
+from .solver import _integrate
 
 _WINDOW_TOL = 1e-9
 
@@ -147,13 +148,6 @@ class _Moments:
             self.kept[step] = rows.copy()
 
 
-def _replica_moments(grid, kspec, sspec, u0_spec, streams, snapshot_times, p, space_lags, time_lags, order=1):
-    """``_Moments.scalars`` of one batch of ``streams``, keeping no snapshot."""
-    moments = _Moments(grid, len(streams), p, space_lags, time_lags, order)
-    _integrate(grid, kspec, sspec, u0_spec, streams, snapshot_times, moments)
-    return moments.scalars
-
-
 def _moment_rows(grid, scalars, lags, direction) -> list[MomentRow]:
     """One MomentRow per lag from per-replica ``_Moments.scalars``, whose anchors are checked in lag
     order: each replica's mean, then the mean and standard error over replicas."""
@@ -172,31 +166,22 @@ def _moment_rows(grid, scalars, lags, direction) -> list[MomentRow]:
     return rows
 
 
-def structure_function(trajs, p: float = 2.0, direction: str = "space", lags=None,
-                       order: int = 1) -> list[MomentRow]:
-    """Moment table of field increments over all anchors in the window.
+def structure_function(grid, kspec, sspec, u0_spec, streams, snapshot_times, p, space_lags, time_lags,
+                       order: int = 1) -> tuple[list[MomentRow], list[MomentRow]]:
+    """Moment tables, in space then in time, of field increments over all anchors in the window, from one
+    engine pass over the replicas of ``streams``.
 
-    Spatial lags are physical separations (multiples of the grid spacing).
-    Temporal lags must lie on the ``dt`` lattice; each snapshot is paired,
-    by its recorded step, with the one exactly the lag's number of steps
-    later, if it was recorded.  The standard error at each lag is the spread
-    of the per-trajectory means.  The rows are replayed through ``_Moments``.
+    Spatial lags are whole cells, with increments of order ``order``.  Temporal lags must lie on the ``dt``
+    lattice; each snapshot is paired, by its step, with the snapshot exactly the lag's number of steps later,
+    if there is one.  The standard error at each lag is the spread of the per-replica means.
     """
-    trajs = [trajs] if isinstance(trajs, Trajectory) else list(trajs)
-    grid = trajs[0].grid if trajs else None  # no trajectories: _moment_rows raises
-    if direction not in ("space", "time"):
-        raise DomainError("direction must be 'space' or 'time'")
-    if order == 2 and direction == "time":
-        raise DomainError("order-2 increments are supported in space only")
-    if lags is None:
-        raise DomainError("lags must be given")
-    scalars = []
-    for traj in trajs:
-        moments = _Moments(grid, 1, p, order=order, **{f"{direction}_lags": lags})
-        for step, t, row in zip(traj.steps, traj.times, traj.values):
-            moments(step, t, row[None, None])
-        scalars += moments.scalars
-    return _moment_rows(grid, scalars, lags, direction)
+    def batch(chunk):
+        moments = _Moments(grid, len(chunk), p, space_lags, time_lags, order)
+        _integrate(grid, kspec, sspec, u0_spec, chunk, snapshot_times, moments)
+        return moments.scalars
+
+    scalars = _run_replicas(streams, batch)
+    return _moment_rows(grid, scalars, space_lags, "space"), _moment_rows(grid, scalars, time_lags, "time")
 
 
 def _require_octaves(lags):
@@ -223,11 +208,10 @@ def _fit_report(rows, direction, p, order, n_samples=None) -> HolderReport:
     )
 
 
-def _holder_reports(grid, scalars, p, space_lags, time_lags, order) -> list[HolderReport]:
-    """The fits in space (order ``order``), then time, of per-replica ``_Moments.scalars``;
-    the caller checked before the run that each direction's lags span 3 octaves."""
-    return [_fit_report(_moment_rows(grid, scalars, lags, d), d, p, k)
-            for d, lags, k in (("space", space_lags, order), ("time", time_lags, 1))]
+def _holder_reports(tables, p, order) -> list[HolderReport]:
+    """The fits of :func:`structure_function`'s space table (order ``order``) and time table; the caller
+    checked before the run that each direction's lags span 3 octaves."""
+    return [_fit_report(rows, d, p, k) for rows, d, k in zip(tables, ("space", "time"), (order, 1))]
 
 
 def critical_exponent_limit(alpha: float, gamma: float) -> float:
@@ -283,16 +267,19 @@ class ConditionalRegularityResult:
 class _Conditioning:
     """Small-value conditioning as a per-row statistic, :meth:`rows`, of in-window pair
     differences and a reducer, :meth:`result`, of those rows pooled replica-major.  Building
-    it makes every check that needs no pair, so the CLI makes them before step 1: no delta of
-    0, dim 1, ``p`` and ``order``, lags over 3 octaves (default 1, 2, 4, 8 cells), and every
-    lag and ``eps`` a whole number of cells."""
+    it makes every check that needs no pair, so :func:`conditional_regularity` makes them
+    before step 1: a delta other than 0, dim 1, ``p`` and ``order``, at least one ``eps``,
+    lags over 3 octaves (default 1, 2, 4, 8 cells), and every lag and ``eps`` a whole number
+    of cells."""
 
-    def __init__(self, grid, deltas, xi, eps_values, p, lags, order):
-        if any(d == 0.0 for d in deltas):
+    def __init__(self, grid, delta, xi, eps_values, p, lags, order):
+        if delta == 0.0:
             raise DomainError("conditioning degenerate: delta = 0 pair has identically zero difference")
         if grid.dim != 1:
             raise DomainError("small-value conditioning is implemented for dim 1")
         _require_p(p, order)
+        if not eps_values:
+            raise DomainError("conditioning needs at least one eps")
         self.grid, self.xi, self.eps_values, self.p, self.order = grid, xi, list(eps_values), p, order
         self.lags = _require_octaves([grid.h * g for g in (1, 2, 4, 8)] if lags is None else lags)
         self.cells = [grid.cells(lag) for lag in self.lags]
@@ -337,33 +324,21 @@ class _Conditioning:
                                            tuple(conditional), gaps, occupancy)
 
 
-def conditional_regularity(
-    pair,
-    xi: float,
-    eps_values,
-    p: float = 2.0,
-    lags=None,
-    order: int = 1,
-) -> ConditionalRegularityResult:
-    """Structure-function exponents of the pair difference near its small values.
+def conditional_regularity(grid, kspec, sspec, u0_spec, perturbation, delta, streams, snapshot_times, xi,
+                           eps_values, p: float = 2.0, lags=None, order: int = 1) -> ConditionalRegularityResult:
+    """Structure-function exponents near its small values of the difference of each replica's pair, started
+    from ``u0`` and ``u0 + delta * perturbation`` on one noise path, at the in-window ``snapshot_times``.
 
-    ``pair`` is one SolutionPair or a sequence of replica pairs sharing grid
-    and delta.  For each ``eps`` the anchor set keeps the points (t, x) where
-    ``|diff(t, xhat)| <= eps^xi`` for some ``|xhat - x| <= eps``, and
-    ``eps`` must be a whole number of cells (``GridSpec.cells``); the
-    conditional exponent is compared against the unconditional one on the
-    same lags.  Fails loudly when the conditioning set has fewer than 100
-    anchors or the difference field is degenerate.
+    For each ``eps`` the anchor set keeps the points (t, x) where ``|diff(t, xhat)| <= eps^xi`` for some
+    ``|xhat - x| <= eps``, and ``eps`` must be a whole number of cells (``GridSpec.cells``); the conditional
+    exponent is compared against the unconditional one on the same lags.  Every check that needs no pair is
+    made before step 1.  Fails loudly when the conditioning set has fewer than 100 anchors or the difference
+    field is degenerate.
     """
-    pairs = [pair] if isinstance(pair, SolutionPair) else list(pair)
-    if not pairs:
-        raise InputError("no pairs given")
-    grid = pairs[0].grid
-    if any(pr.grid != grid for pr in pairs):
-        raise InputError("pairs must share a grid")
-    conditioning = _Conditioning(grid, [pr.delta for pr in pairs], xi, eps_values, p, lags, order)
-    return conditioning.result([conditioning.rows(pr.diffs[[_in_window(grid, t) for t in pr.times]])
-                                for pr in pairs])
+    conditioning = _Conditioning(grid, delta, xi, eps_values, p, lags, order)
+    window = [t for t in snapshot_times if _in_window(grid, t)]
+    per_replica = _pair_rows(grid, kspec, sspec, u0_spec, perturbation, [delta], streams, window, conditioning.rows)
+    return conditioning.result([rows for (rows,) in per_replica])
 
 
 @dataclass(frozen=True)
@@ -404,34 +379,37 @@ def _gap_report(times, deltas, per_replica) -> UniquenessReport:
     return UniquenessReport(tuple(sorted(by_delta)), tuple(times), median_l1, median_sup, peak_l1, monotone)
 
 
-def uniqueness_gap(pairs) -> UniquenessReport:
-    """Summarize coupled-pair divergence across perturbation sizes.
+def uniqueness_gap(grid, kspec, sspec, u0_spec, perturbation, deltas, streams, snapshot_times) -> UniquenessReport:
+    """Coupled-pair divergence across perturbation sizes: each replica's pair for ``deltas[k]`` starts from
+    ``u0`` and ``u0 + deltas[k] * perturbation`` on its one noise path.
 
-    Groups pairs by their delta; for each delta and snapshot time reports the
-    replica-median of ``int |diff| dx`` and ``sup |diff|``.  The summary flag
-    records whether the peak L1 divergence is strictly monotone in delta
+    For each delta and snapshot time the report holds the replica-median of ``int |diff| dx`` and
+    ``sup |diff|``.  The summary flag records whether the peak L1 divergence is strictly monotone in delta
     (zero rows are exempt: delta = 0 must be identically zero).
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise InputError("no pairs given")
-    times, grid = pairs[0].times, pairs[0].grid
-    if any(pr.times != times or pr.grid != grid for pr in pairs[1:]):
-        raise InputError("pairs must share snapshot times and grid")
-    return _gap_report(times, [pr.delta for pr in pairs], [[_gap_rows(grid, pr.diffs) for pr in pairs]])
+    per_replica = _pair_rows(grid, kspec, sspec, u0_spec, perturbation, deltas, streams, snapshot_times,
+                             lambda diffs: _gap_rows(grid, diffs))
+    return _gap_report(snapshot_times, deltas, per_replica)
 
 
 def _pair_rows(grid, kspec, sspec, u0_spec, perturbation, deltas, streams, snapshot_times, statistic) -> list:
-    """Coupled pairs of one batch of ``streams``, streamed from the engine: at each snapshot, ``statistic``
-    of the ``(replicas, *grid)`` differences ``leg 0 - leg k + 1`` of ``deltas[k]`` gives a row per replica.
-    Keeps no snapshot; returns ``[replica][delta]`` ``array("d")`` buffers of the rows, back to back."""
-    rows = [[array("d") for _ in deltas] for _ in streams]
+    """Coupled pairs of every replica of ``streams``, streamed from the engine on the replica runner: at each
+    snapshot, ``statistic`` of a chunk's ``(replicas, *grid)`` differences ``leg 0 - leg k + 1`` of
+    ``deltas[k]`` gives a row per replica.  Keeps no snapshot; returns ``[replica][delta]`` ``array("d")``
+    buffers of the rows, back to back."""
+    if not streams:
+        raise InputError("no pairs given")
 
-    def observe(step, time, stack):
-        for k in range(len(deltas)):
-            for out, row in zip(rows, statistic(stack[:, 0] - stack[:, k + 1])):
-                out[k].extend(row)
+    def batch(chunk):
+        rows = [[array("d") for _ in deltas] for _ in chunk]
 
-    _integrate(grid, kspec, sspec, u0_spec, streams, snapshot_times, observe, perturbation=perturbation,
-               deltas=deltas)
-    return rows
+        def observe(step, time, stack):
+            for k in range(len(deltas)):
+                for out, row in zip(rows, statistic(stack[:, 0] - stack[:, k + 1])):
+                    out[k].extend(row)
+
+        _integrate(grid, kspec, sspec, u0_spec, chunk, snapshot_times, observe, perturbation=perturbation,
+                   deltas=deltas)
+        return rows
+
+    return _run_replicas(streams, batch)

@@ -311,6 +311,12 @@ def _draw_spectrum(grid: GridSpec, mode_std: np.ndarray, rng: np.random.Generato
         edge[n // 2 + 1:] = np.conj(edge[n // 2 - 1:0:-1])
 
 
+def _require_steps(count) -> None:
+    """The 32-bit rule of a stream's step index: a run of ``count`` steps needs ``count <= 2^32``."""
+    if not count <= _TWO32:
+        raise DomainError(f"{count} steps need step indices past the 32 bits of a stream")
+
+
 def _increments(grid: GridSpec, kspec: KernelSpec, streams, count: int):
     """The one draw path of the engine and the covariance check: for each step ``m < count``, one
     ``(len(streams), *half-spectrum)`` buffer, refilled in place, whose row ``r`` is the ``_draw_spectrum``
@@ -318,8 +324,7 @@ def _increments(grid: GridSpec, kspec: KernelSpec, streams, count: int):
     2^32``, and builds the one Philox and the buffer, before the first draw; each draw re-keys that Philox
     (``_rekey``), so its bits are those of ``streams[r].at_step(m).generator()``."""
     mode_std = _amplitudes_cached(grid.dim, grid.n, grid.l, kspec) * np.sqrt(grid.dt)
-    if count > _TWO32:
-        raise DomainError(f"{count} steps need step indices past the 32 bits of a stream")
+    _require_steps(count)
     rng = np.random.Generator(np.random.Philox(0))  # re-keyed for every draw
     spectra = np.empty((len(streams),) + grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
 

@@ -161,6 +161,8 @@ class InitialCondition:
             raise DomainError(f"unknown initial condition kind {self.kind!r}")
         if self.kind == "bump" and not 0 < self.width < math.inf:
             raise DomainError("bump width must be finite and > 0")
+        if self.kind == "bump" and not self.width * self.width < math.inf:
+            raise DomainError(f"bump width {self.width} has no finite square")
         if self.kind == "file" and not self.path:
             raise DomainError("file initial condition needs a path")
 

@@ -291,8 +291,10 @@ def test_batched_runs_match_per_replica_runs(tmp_path, monkeypatch):
         for d in deltas
         for r in range(3)
     ]
-    streamed = cli._streamed_pairs(cfg, deltas, times, lambda diffs: _gap_rows(grid, diffs))
-    assert _gap_report(times, deltas, streamed).peak_l1 == uniqueness_gap(alone).peak_l1
+    batched = uniqueness_gap(grid, cfg.kernel(), cfg.sigma(), cfg.u0(), pert, deltas, cfg.streams(), times)
+    # the one-pair runs through the same statistic and reducer
+    rows = [[_gap_rows(grid, pair.diffs) for pair in alone]]
+    assert batched.peak_l1 == _gap_report(times, [pair.delta for pair in alone], rows).peak_l1
 
 
 # ---------------------------------------------------------------------------

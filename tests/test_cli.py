@@ -4,6 +4,7 @@ import csv
 import gc
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -301,8 +302,9 @@ class TestExitCodes:
           for s in ("holder.gate_space=0.6,high", "holder.gate_time=0.3")],
         *[pytest.param(SMALL_VALUE, s, 3, id=f"small-value-{s}") for s in (
             "grid.dim=2", "smallvalue.eps_cells=4,40", "smallvalue.lags=1,2,4,40", "smallvalue.lags=1,2,4",
-            "holder.order=3", "smallvalue.delta=0",
+            "holder.order=3", "smallvalue.delta=0", "smallvalue.eps_cells=,", "pair.width=1e300",
         )],
+        pytest.param(["uniqueness", *FAST_SIM], "pair.width=1e300", 3, id="uniqueness-pair.width=1e300"),
         pytest.param(SMALL_VALUE, "smallvalue.gate_gap=wide", 2, id="small-value-smallvalue.gate_gap=wide"),
         # checked by noise._increments, before its first draw
         *[pytest.param(["noise-check", "--set", "grid.n=256"], s, 3, id=f"noise-check-{s}")
@@ -327,6 +329,28 @@ class TestExitCodes:
         assert main([*argv, *(["--set", setting] if setting else []), "--out", str(out)]) == code
         prefix = {2: "config error:", 3: "precondition error:"}[code]
         assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("command", ["noise-check", "simulate", "holder", "small-value", "uniqueness"])
+    def test_zero_grid_points_is_3_with_the_grid_message(self, tmp_path, capsys, command):
+        assert main([command, "--set", "grid.n=0", "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "precondition error: n must be a power of two >= 4\n"
+
+    @pytest.mark.parametrize("setting", ["grid.t_end=1e300", "grid.dt=1e-300"])
+    @pytest.mark.parametrize("command", ["holder", "uniqueness", "small-value"])
+    def test_step_count_past_32_bits_is_3_at_once(self, tmp_path, command, setting):
+        """A horizon past 2^32 steps fails before its snapshot times are listed: the run, in a child
+        process under a 1 GiB address-space limit, exits 3 with the engine's 32-bit message."""
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        env = dict(os.environ, SPDELAB_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "spdelab.cli", command, "--set", setting, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("precondition error: ")
+        assert proc.stderr.endswith(" steps need step indices past the 32 bits of a stream\n")
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
     def test_thread_count_that_is_not_a_positive_integer_is_2(self, tmp_path, monkeypatch, capsys, threads):
@@ -415,6 +439,17 @@ class TestArtifacts:
         last = rows[3].split(",")
         assert float(last[1]) == pytest.approx(np.exp(-6.0), rel=1e-12)
         assert last[7] == "True"
+
+    def test_oracle_seed_is_taken_modulo_2_64(self, tmp_path):
+        """``oracle`` draws from the seed's stream, as every other subcommand does: seed -1 exits 0 and
+        writes the rows of seed 2^64 - 1, up to the config fingerprint of each row."""
+        rows = {}
+        for seed in (-1, 2**64 - 1):
+            out = tmp_path / str(seed)
+            assert main(["oracle", "--set", "oracle.cases=3", "--set", f"run.seed={seed}", "--out", str(out)]) == 0
+            rows[seed] = [line.rsplit(",", 2)[0] for name in ("oracle_cases.csv", "oracle_fits.csv")
+                          for line in (out / name).read_text().splitlines()]
+        assert rows[-1] == rows[2**64 - 1]
 
 
 class TestDeterminism:

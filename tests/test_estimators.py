@@ -1,4 +1,8 @@
-"""Structure functions, exponent estimation, recursion arithmetic, pair statistics."""
+"""Structure functions, exponent estimation, recursion arithmetic, pair statistics.
+
+Run-level behaviours call the streamed estimators; the estimator math on
+synthetic fields feeds their statistic and reducer directly (``_Moments``,
+then ``_moment_rows``), one snapshot at a time as the engine would."""
 
 import numpy as np
 import pytest
@@ -6,9 +10,8 @@ import pytest
 from spdelab._fit import fit_loglog
 from spdelab.errors import DomainError, InputError, InsufficientDataError
 from spdelab.estimators import (
-    _gap_report,
-    _gap_rows,
-    _pair_rows,
+    _moment_rows,
+    _Moments,
     _require_octaves,
     conditional_regularity,
     critical_exponent_limit,
@@ -19,19 +22,20 @@ from spdelab.estimators import (
 )
 from spdelab.kernels import KernelSpec
 from spdelab.noise import GridSpec, RngStream, synthesize
-from spdelab.solver import (
-    InitialCondition,
-    SigmaSpec,
-    Trajectory,
-    simulate_pairs,
-)
+from spdelab.solver import InitialCondition, SigmaSpec, simulate
+
+RIESZ = KernelSpec(kind="riesz", alpha=0.5)
+U0 = InitialCondition(kind="constant", value=1.0)
 
 
-def make_traj(grid, arrays, times=None):
+def synthetic_table(grid, arrays, p, direction, lags, order=1, times=None):
+    """The moment table of one replica whose snapshots are ``arrays`` (by default one step apart from
+    ``t_min``), each fed to ``_Moments`` at its step as the engine would, then reduced by ``_moment_rows``."""
     times = times if times is not None else [grid.t_min + i * grid.dt for i in range(len(arrays))]
-    steps = tuple(int(round(t / grid.dt)) for t in times)
-    values = np.asarray(arrays, dtype=float)
-    return Trajectory(fingerprint="synthetic", grid=grid, times=tuple(times), steps=steps, values=values)
+    moments = _Moments(grid, 1, p, order=order, **{f"{direction}_lags": lags})
+    for t, row in zip(times, arrays):
+        moments(int(round(t / grid.dt)), t, np.asarray(row, dtype=float)[None, None])
+    return _moment_rows(grid, moments.scalars, lags, direction)
 
 
 def grid1d(n=512, l=1.0, **kw):
@@ -46,8 +50,7 @@ def sigma_zero():
 class TestStructureFunction:
     def test_constant_field_zero(self):
         g = grid1d(n=256)
-        traj = make_traj(g, [np.full(g.n, 2.5)])
-        rows = structure_function(traj, p=2, direction="space", lags=[4 * g.h, 8 * g.h])
+        rows = synthetic_table(g, [np.full(g.n, 2.5)], 2, "space", [4 * g.h, 8 * g.h])
         assert all(r.moment == 0.0 for r in rows)
 
     def test_linear_profile_exact(self):
@@ -55,10 +58,9 @@ class TestStructureFunction:
         # see the jump s * (l - c h), the other n - c see the slope s * c h
         g = grid1d(n=512, l=1.0)
         s = 3.0
-        traj = make_traj(g, [s * g.axis_coords()])
         for p in (1, 2):
             for cells in (4, 16):
-                row = structure_function(traj, p=p, direction="space", lags=[cells * g.h])[0]
+                row = synthetic_table(g, [s * g.axis_coords()], p, "space", [cells * g.h])[0]
                 slope, seam = s * cells * g.h, s * (g.l - cells * g.h)
                 expected = ((g.n - cells) * slope**p + cells * seam**p) / g.n
                 assert row.moment == pytest.approx(expected, rel=1e-12)
@@ -67,32 +69,28 @@ class TestStructureFunction:
         g = grid1d(n=1024)
         rng = np.random.default_rng(5)
         v = rng.standard_normal(g.n)
-        t1 = make_traj(g, [v])
-        t2 = make_traj(g, [np.roll(v, 137)])
         for order in (1, 2):
-            a = structure_function(t1, p=2, direction="space", lags=[8 * g.h], order=order)[0]
-            b = structure_function(t2, p=2, direction="space", lags=[8 * g.h], order=order)[0]
+            a = synthetic_table(g, [v], 2, "space", [8 * g.h], order=order)[0]
+            b = synthetic_table(g, [np.roll(v, 137)], 2, "space", [8 * g.h], order=order)[0]
             assert a.moment == pytest.approx(b.moment, rel=1e-12)
 
     def test_insufficient_anchors(self):
-        g = GridSpec(dim=1, n=64, l=1.0, t_end=1.0)
-        traj = make_traj(g, [np.zeros(64)])
+        # one snapshot of 64 cells is 64 anchors
+        g = GridSpec(dim=1, n=64, l=1.0, dt=2.0**-13, t_end=2.0**-10, t_min=0.0)
         with pytest.raises(InsufficientDataError):
-            structure_function(traj, p=2, direction="space", lags=[4 * g.h])
+            structure_function(g, RIESZ, SigmaSpec(), U0, [RngStream(3)], [0.0], 2, [4 * g.h], ())
 
     def test_time_direction_pairs(self):
         g = grid1d(n=256, dt=0.01)
         # linear-in-time field: |u(t+tau) - u(t)| = tau exactly
         times = [g.t_min + i * 0.01 for i in range(8)]
-        traj = make_traj(g, [np.full(g.n, t) for t in times], times)
-        row = structure_function(traj, p=2, direction="time", lags=[0.02])[0]
+        row = synthetic_table(g, [np.full(g.n, t) for t in times], 2, "time", [0.02], times=times)[0]
         assert row.moment == pytest.approx(0.02**2, rel=1e-10)
 
     def test_unresolvable_lag(self):
         g = grid1d(n=256)
-        traj = make_traj(g, [np.zeros(g.n)])
         with pytest.raises(Exception):
-            structure_function(traj, p=2, direction="space", lags=[g.h * 0.3])
+            structure_function(g, RIESZ, SigmaSpec(), U0, [RngStream(3)], [g.t_min], 2, [g.h * 0.3], ())
 
 
 class TestStepIndexedTimeLags:
@@ -100,35 +98,38 @@ class TestStepIndexedTimeLags:
 
     STEPS = (0, 16, 32, 64, 80, 128)
 
-    def uneven_traj(self):
-        g = grid1d(n=256, dt=0.001, t_min=0.0)
-        # step m holds the constant m^2, so every increment names its pair
-        arrays = [np.full(g.n, float(m * m)) for m in self.STEPS]
-        return g, make_traj(g, arrays, [m * g.dt for m in self.STEPS])
+    def uneven_run(self):
+        """A run recorded at the uneven ``STEPS``: its grid, ``structure_function``'s arguments up to ``p``,
+        and the recorded snapshots by step."""
+        g = grid1d(n=256, dt=0.001, t_end=0.128, t_min=0.0)
+        args = (g, RIESZ, SigmaSpec(), U0, [RngStream(4)], [m * g.dt for m in self.STEPS])
+        traj = simulate(*args[:4], args[4][0], args[5])
+        return g, args, dict(zip(traj.steps, traj.values))
 
     @pytest.mark.parametrize("lag_steps", [16, 32, 48, 64, 112, 128])
     def test_uneven_snapshots_pair_by_step_difference(self, lag_steps):
-        g, traj = self.uneven_traj()
+        g, args, at_step = self.uneven_run()
         pairs = [(a, b) for a in self.STEPS for b in self.STEPS if b - a == lag_steps]
-        (row,) = structure_function(traj, p=1, direction="time", lags=[lag_steps * g.dt])
+        _, (row,) = structure_function(*args, 1, (), [lag_steps * g.dt])
         assert row.n_samples == len(pairs) * g.n
-        assert row.moment == pytest.approx(np.mean([b * b - a * a for a, b in pairs]), rel=1e-15)
+        assert row.moment == pytest.approx(np.mean([np.mean(np.abs(at_step[b] - at_step[a])) for a, b in pairs]),
+                                           rel=1e-15)
 
     def test_lag_without_partners_is_insufficient(self):
-        g, traj = self.uneven_traj()
+        g, args, _ = self.uneven_run()
         with pytest.raises(InsufficientDataError):
-            structure_function(traj, p=1, direction="time", lags=[8 * g.dt])
+            structure_function(*args, 1, (), [8 * g.dt])
 
     def test_off_lattice_lag_is_domain_error(self):
-        g, traj = self.uneven_traj()
+        g, args, _ = self.uneven_run()
         with pytest.raises(DomainError):
-            structure_function(traj, p=1, direction="time", lags=[16.5 * g.dt])
+            structure_function(*args, 1, (), [16.5 * g.dt])
 
 
-def spatial_exponent(trajs, lags, p=2):
+def spatial_exponent(grid, arrays, lags, p=2):
     """The scaling exponent written out: the slope of the log-log fit of the
     spatial structure function over ``p``; with its standard error and rows."""
-    rows = structure_function(trajs, p=p, direction="space", lags=lags)
+    rows = synthetic_table(grid, arrays, p, "space", lags)
     slope, slope_se = fit_loglog([r.lag for r in rows], [r.moment for r in rows])
     return slope / p, slope_se / p, rows
 
@@ -154,22 +155,19 @@ class TestHolderExponent:
         std = np.sqrt(mass)
         std[0] = 0.0
         arrays = [synthesize(g, std, RngStream(100 + int(10 * H), r).generator()) for r in range(12)]
-        traj = make_traj(g, arrays, [g.t_min + i * g.dt for i in range(12)])
-        exponent, _, _ = spatial_exponent(traj, [c * g.h for c in (4, 8, 16, 32)])
+        exponent, _, _ = spatial_exponent(g, arrays, [c * g.h for c in (4, 8, 16, 32)])
         assert abs(exponent - H) <= 0.05
 
     def test_smooth_deterministic_saturates(self):
         g = grid1d(n=2048, l=1.0)
-        traj = make_traj(g, [np.sin(2 * np.pi * g.axis_coords())])
-        exponent, _, _ = spatial_exponent(traj, [c * g.h for c in (1, 2, 4, 8)])
+        exponent, _, _ = spatial_exponent(g, [np.sin(2 * np.pi * g.axis_coords())], [c * g.h for c in (1, 2, 4, 8)])
         assert exponent >= 0.99
 
     def test_report_fields(self):
         g = grid1d(n=1024)
         arrays = [np.random.default_rng(3).standard_normal(g.n) for _ in range(3)]
-        traj = make_traj(g, arrays)
         lags = [c * g.h for c in (2, 4, 8, 16)]
-        _, stderr, rows = spatial_exponent(traj, lags)
+        _, stderr, rows = spatial_exponent(g, arrays, lags)
         assert stderr > 0
         assert [r.lag for r in rows] == lags
         assert all(r.n_samples >= 100 for r in rows)
@@ -210,32 +208,35 @@ class TestExponentArithmetic:
         assert default_conditioning_exponent(0.5, 0.5) == pytest.approx(0.875)
 
 
-def _noisy_pair(delta=0.1, seed=7, n=256, gamma=0.5, scale=1.0, replicas=1, tendf=400):
+def _noisy_run(seed=7, n=256, gamma=0.5, scale=1.0, replicas=1, tendf=400):
+    """The arguments of a coupled-pair estimator up to the deltas, and its grid: 33 snapshots of a run to
+    ``tendf * h^2``, perturbed by a bump."""
     l = 1.0
     h = l / n
     grid = GridSpec(dim=1, n=n, l=l, dt=h * h / 2, t_end=tendf * h * h, t_min=0.1 * tendf * h * h)
-    k = KernelSpec(kind="riesz", alpha=0.5)
     sig = SigmaSpec(kind="holder-power", gamma=gamma, scale=scale)
-    u0 = InitialCondition(kind="constant", value=1.0)
     pert = InitialCondition(kind="bump", center=l / 2, width=l / 8, height=1.0)
     total = int(round(grid.t_end / grid.dt))
     times = [m * grid.dt for m in range(0, total + 1, max(1, total // 32))]
     streams = [RngStream(seed, r) for r in range(replicas)]
-    pairs = [pair for (pair,) in simulate_pairs(grid, k, sig, u0, pert, [delta], streams, times)]
-    return grid, pairs
+    return grid, (grid, RIESZ, sig, U0, pert), streams, times
+
+
+def _noisy_regularity(delta=0.1, xi=0.875, eps_cells=(4,), lag_cells=None, **run):
+    grid, head, streams, times = _noisy_run(**run)
+    return conditional_regularity(*head, delta, streams, times, xi, [c * grid.h for c in eps_cells],
+                                  lags=None if lag_cells is None else [c * grid.h for c in lag_cells])
 
 
 class TestConditionalRegularity:
     def test_delta_zero_rejected(self):
-        grid, pairs = _noisy_pair(delta=0.0)
         with pytest.raises(DomainError):
-            conditional_regularity(pairs, xi=0.875, eps_values=[4 * grid.h])
+            _noisy_regularity(delta=0.0)
 
     def test_insufficient_conditioning_anchors(self):
-        grid, pairs = _noisy_pair(delta=0.1)
         # xi enormous makes the threshold essentially zero
         with pytest.raises(InsufficientDataError) as exc:
-            conditional_regularity(pairs, xi=40.0, eps_values=[4 * grid.h])
+            _noisy_regularity(xi=40.0)
         assert exc.value.occupancy
 
     def test_smooth_difference_saturates_both(self):
@@ -243,55 +244,38 @@ class TestConditionalRegularity:
         n, l = 512, 1.0
         h = l / n
         grid = GridSpec(dim=1, n=n, l=l, dt=h * h / 2, t_end=400 * h * h, t_min=40 * h * h)
-        k = KernelSpec(kind="riesz", alpha=0.5)
-        u0 = InitialCondition(kind="constant", value=1.0)
         pert = InitialCondition(kind="bump", center=l / 2, width=l / 16, height=1.0)
         total = int(round(grid.t_end / grid.dt))
         times = [m * grid.dt for m in range(0, total + 1, max(1, total // 16))]
-        ((pair,),) = simulate_pairs(grid, k, sigma_zero(), u0, pert, [0.5], [RngStream(3)], times)
-        res = conditional_regularity(
-            pair, xi=0.875, eps_values=[8 * h], lags=[c * h for c in (1, 2, 4, 8)]
-        )
+        res = conditional_regularity(grid, RIESZ, sigma_zero(), U0, pert, 0.5, [RngStream(3)], times,
+                                     xi=0.875, eps_values=[8 * h], lags=[c * h for c in (1, 2, 4, 8)])
         assert res.unconditional.exponent >= 0.9
         assert res.conditional[0].exponent >= 0.9
 
     def test_conditional_never_far_below_unconditional(self):
-        grid, pairs = _noisy_pair(delta=0.1, scale=2.0, replicas=3, tendf=800)
-        res = conditional_regularity(
-            pairs, xi=0.875, eps_values=[4 * grid.h, 8 * grid.h],
-            lags=[c * grid.h for c in (1, 2, 4, 8)],
-        )
+        res = _noisy_regularity(eps_cells=(4, 8), lag_cells=(1, 2, 4, 8), scale=2.0, replicas=3, tendf=800)
         for rep, gap in zip(res.conditional, res.gaps):
             assert gap >= -2.0 * (rep.stderr + res.unconditional.stderr)
 
     def test_lag_beyond_half_grid_rejected(self):
-        grid, pairs = _noisy_pair(delta=0.1)
         with pytest.raises(InputError):
-            conditional_regularity(
-                pairs, xi=0.875, eps_values=[4 * grid.h],
-                lags=[c * grid.h for c in (1, 2, 4, grid.n // 2 + 1)],
-            )
+            _noisy_regularity(lag_cells=(1, 2, 4, 256 // 2 + 1))
 
     @pytest.mark.parametrize("eps_cells", [4.4, 3.6, 0.5, 129])
     def test_eps_off_the_cell_lattice_rejected(self, eps_cells):
         # 4.4 or 3.6 cells would run a 4-cell window under an unrounded threshold
-        grid, pairs = _noisy_pair(delta=0.1)
         with pytest.raises(InputError):
-            conditional_regularity(pairs, xi=0.875, eps_values=[eps_cells * grid.h])
+            _noisy_regularity(eps_cells=(eps_cells,))
 
     def test_occupancy_reported(self):
-        grid, pairs = _noisy_pair(delta=0.1, replicas=2)
-        res = conditional_regularity(
-            pairs, xi=0.875, eps_values=[8 * grid.h], lags=[c * grid.h for c in (1, 2, 4, 8)]
-        )
-        assert 0 < res.occupancy[8 * grid.h] <= 1.0
+        res = _noisy_regularity(eps_cells=(8,), lag_cells=(1, 2, 4, 8), replicas=2)
+        assert 0 < res.occupancy[res.eps_values[0]] <= 1.0
 
 
 class TestUniquenessGap:
     def test_delta_zero_rows_identically_zero(self):
-        _, pairs0 = _noisy_pair(delta=0.0, replicas=2)
-        _, pairs1 = _noisy_pair(delta=0.1, replicas=2)
-        rep = uniqueness_gap(pairs0 + pairs1)
+        _, head, streams, times = _noisy_run(replicas=2)
+        rep = uniqueness_gap(*head, [0.0, 0.1], streams, times)
         assert np.all(rep.median_l1[0.0] == 0.0)
         assert np.all(rep.median_sup[0.0] == 0.0)
         assert rep.peak_l1[0.0] == 0.0
@@ -302,12 +286,10 @@ class TestUniquenessGap:
         n, l = 256, 1.0
         h = l / n
         grid = GridSpec(dim=1, n=n, l=l, dt=h * h / 2, t_end=64 * h * h)
-        k = KernelSpec(kind="riesz", alpha=0.5)
         u0 = InitialCondition(kind="constant", value=0.0)
         pert = InitialCondition(kind="sine", k=1, amplitude=1.0)
         times = [m * grid.dt for m in (16, 32, 48, 64)]
-        ((pair,),) = simulate_pairs(grid, k, sigma_zero(), u0, pert, [0.3], [RngStream(2)], times)
-        rep = uniqueness_gap([pair])
+        rep = uniqueness_gap(grid, RIESZ, sigma_zero(), u0, pert, [0.3], [RngStream(2)], times)
         l1 = rep.median_l1[0.3]
         decay = np.exp(-2 * np.pi**2 * 16 * grid.dt / l**2)
         for a, b in zip(l1, l1[1:]):
@@ -315,31 +297,15 @@ class TestUniquenessGap:
             assert b / a == pytest.approx(decay, rel=1e-10)
 
     def test_monotone_in_delta_smoke(self):
-        pairs = []
-        for d in (0.1, 0.01):
-            _, ps = _noisy_pair(delta=d, gamma=0.8, replicas=6)
-            pairs.extend(ps)
-        rep = uniqueness_gap(pairs)
+        _, head, streams, times = _noisy_run(gamma=0.8, replicas=6)
+        rep = uniqueness_gap(*head, [0.1, 0.01], streams, times)
         assert rep.monotone_in_delta
         assert rep.peak_l1[0.01] < rep.peak_l1[0.1]
 
     def test_no_snapshot_is_an_input_error(self):
-        """Pairs run with no snapshot time: replayed and streamed, the decay table is an InputError."""
+        """Pairs run with no snapshot time: the decay table is an InputError."""
         grid = grid1d(n=64)
-        k = KernelSpec(kind="riesz", alpha=0.5)
-        u0 = InitialCondition(kind="constant", value=1.0)
         pert = InitialCondition(kind="bump", center=0.5, width=0.1, height=1.0)
-        deltas, streams = [0.0, 0.1], [RngStream(2, r) for r in range(2)]
-        batch = simulate_pairs(grid, k, SigmaSpec(), u0, pert, deltas, streams, [])
+        streams = [RngStream(2, r) for r in range(2)]
         with pytest.raises(InputError, match="no snapshots given"):
-            uniqueness_gap([pair for pairs in batch for pair in pairs])
-        per_replica = _pair_rows(grid, k, SigmaSpec(), u0, pert, deltas, streams, [],
-                                 lambda diffs: _gap_rows(grid, diffs))
-        with pytest.raises(InputError, match="no snapshots given"):
-            _gap_report([], deltas, per_replica)
-
-    def test_mismatched_pairs_rejected(self):
-        _, a = _noisy_pair(delta=0.1, n=128)
-        _, b = _noisy_pair(delta=0.1, n=256)
-        with pytest.raises(Exception):
-            uniqueness_gap(a + b)
+            uniqueness_gap(grid, RIESZ, SigmaSpec(), U0, pert, [0.0, 0.1], streams, [])

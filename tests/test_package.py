@@ -13,18 +13,18 @@ SRC = Path(spdelab.__file__).resolve().parent
 
 def test_public_names_are_pinned():
     # one-replica and one-step wrappers were folded into the batched entry
-    # points; a name added or brought back here must be deliberate
+    # points, and no submodule is listed; a name added or brought back here
+    # must be deliberate
     assert sorted(spdelab.__all__) == [
         "GridSpec", "HolderReport", "InitialCondition", "KernelSpec", "NoiseField",
         "RegimeVerdict", "RhoSpec", "RngStream", "SigmaSpec", "SolutionPair", "Trajectory",
         "UniquenessReport", "YWFamily", "a_sequence", "build_family",
         "classify_regime", "conditional_regularity", "critical_exponent_limit",
-        "delta_approx_check", "errors", "estimators", "exponent_recursion", "heat_kernel",
-        "kernel_eval", "kernels", "negative_moment_constant",
-        "noise", "read_field", "semigroup_multiplier", "sigma_eval", "simulate", "simulate_pairs",
-        "solver", "spectral_amplitudes", "spectral_density",
+        "delta_approx_check", "exponent_recursion", "heat_kernel",
+        "kernel_eval", "negative_moment_constant",
+        "read_field", "semigroup_multiplier", "sigma_eval", "simulate", "simulate_pairs",
+        "spectral_amplitudes", "spectral_density",
         "structure_function", "synthesize", "uniqueness_gap", "write_field",
-        "ywtools",
     ]
 
 

@@ -1,14 +1,14 @@
 """Streamed pair statistics are bitwise the recorded-pairs reference.
 
-``uniqueness`` and ``small-value`` take per-row statistics of the pair
-differences while the engine runs (``estimators._pair_rows``), in chunks of
-replicas on a pool of threads, and reduce them at the end (``_gap_report``,
-``_Conditioning.result``).  ``uniqueness_gap`` and ``conditional_regularity``
-replay recorded pairs through the same statistic and reducer.  The reference
-below is the recorded-pairs algorithm, written out here: record every pair
-with ``simulate_pairs``, take them delta-major, group them by delta, and pool
-the difference rows one at a time, replica by replica.  Both paths must give
-its numbers bit for bit, or the same error.
+``uniqueness_gap`` and ``conditional_regularity``, which ``uniqueness`` and
+``small-value`` call, take per-row statistics of the pair differences while
+the engine runs (``estimators._pair_rows``), in chunks of replicas on a pool
+of threads, and reduce them at the end (``_gap_report``,
+``_Conditioning.result``).  The reference below is the recorded-pairs
+algorithm, written out here: record every pair with ``simulate_pairs``, take
+them delta-major, group them by delta, and pool the difference rows one at a
+time, replica by replica.  The streamed runs must give its numbers bit for
+bit, or the same error.
 """
 
 import os
@@ -22,17 +22,9 @@ from scipy.ndimage import minimum_filter1d
 from spdelab._fit import fit_loglog
 from spdelab.config import DEFAULT_CONFIG, ExperimentConfig
 from spdelab.errors import DomainError, InputError, InsufficientDataError, SpdeLabError
-from spdelab.estimators import (
-    _Conditioning,
-    _gap_report,
-    _gap_rows,
-    _in_window,
-    _pair_rows,
-    conditional_regularity,
-    uniqueness_gap,
-)
+from spdelab.estimators import _gap_rows, _in_window, _pair_rows, conditional_regularity, uniqueness_gap
 from spdelab.kernels import KernelSpec
-from spdelab.noise import GridSpec, _run_replicas
+from spdelab.noise import GridSpec
 from spdelab.solver import InitialCondition, SigmaSpec, simulate_pairs
 
 SIGMA = SigmaSpec(kind="holder-power", gamma=0.5, scale=2.0)
@@ -136,12 +128,9 @@ def runs(draw, dims=(1, 2)):
     }
 
 
-def streamed(run, deltas, times, statistic):
-    """``[replica][delta]`` rows of ``_pair_rows`` on the replica runner, as the CLI takes them."""
-    grid, kspec, streams = run["grid"], run["kernel"], run["streams"]
-    with mock.patch.dict(os.environ, {"SPDELAB_THREADS": run["threads"]}):
-        return _run_replicas(streams, lambda chunk: _pair_rows(
-            grid, kspec, SIGMA, U0, PERT, deltas, chunk, times, statistic))
+def threads(run):
+    """``SPDELAB_THREADS`` set to the run's thread count."""
+    return mock.patch.dict(os.environ, {"SPDELAB_THREADS": run["threads"]})
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -154,21 +143,23 @@ def test_uniqueness_rows_and_report_equal_the_reference(run):
     nonzero = [d for d in sorted(want) if d > 0]
     want_monotone = all(want[a][2] < want[b][2] for a, b in zip(nonzero, nonzero[1:]))
 
-    per_replica = streamed(run, deltas, times, lambda diffs: _gap_rows(grid, diffs))
+    head = (grid, run["kernel"], SIGMA, U0, PERT, deltas, run["streams"], times)
+    with threads(run):
+        per_replica = _pair_rows(*head, lambda diffs: _gap_rows(grid, diffs))
+        report = uniqueness_gap(*head)
     cell = grid.h**grid.dim
     for rows, recorded in zip(per_replica, batch, strict=True):
         for got, pair in zip(rows, recorded, strict=True):
             expect = [(np.sum(np.abs(row)) * cell, np.max(np.abs(row))) for row in pair.diffs]
             assert np.asarray(got).tobytes() == np.array(expect).tobytes()
 
-    for report in (_gap_report(times, deltas, per_replica), uniqueness_gap(pairs)):
-        assert report.deltas == tuple(sorted(want))
-        assert report.times == tuple(times)
-        for d, (median_l1, median_sup, peak_l1) in want.items():
-            assert report.median_l1[d].tobytes() == median_l1.tobytes()
-            assert report.median_sup[d].tobytes() == median_sup.tobytes()
-            assert report.peak_l1[d] == peak_l1
-        assert report.monotone_in_delta == want_monotone
+    assert report.deltas == tuple(sorted(want))
+    assert report.times == tuple(times)
+    for d, (median_l1, median_sup, peak_l1) in want.items():
+        assert report.median_l1[d].tobytes() == median_l1.tobytes()
+        assert report.median_sup[d].tobytes() == median_sup.tobytes()
+        assert report.peak_l1[d] == peak_l1
+    assert report.monotone_in_delta == want_monotone
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -183,19 +174,12 @@ def test_conditioning_equals_the_reference(run, xi, eps_cells, p, order):
         pairs = [pairs[k] for pairs in batch]
         want = reference_conditioning(pairs, xi, eps_cells, p, order)
 
-        # as the small-value CLI: checked, streamed over the window's snapshots, reduced replica-major
+        # checked, streamed over the window's snapshots, reduced replica-major
         try:
-            conditioning = _Conditioning(grid, [delta], xi, eps_values, p, None, order)
-            window = [t for t in run["times"] if _in_window(grid, t)]
-            per_replica = streamed(run, [delta], window, conditioning.rows)
-            got = conditioning_outcome(conditioning.result([rows for (rows,) in per_replica]))
-        except SpdeLabError as exc:
-            got = exc
-        assert_same(got, want)
-
-        # replayed from the recorded pairs
-        try:
-            got = conditioning_outcome(conditional_regularity(pairs, xi, eps_values, p=p, order=order))
+            with threads(run):
+                got = conditioning_outcome(conditional_regularity(
+                    grid, run["kernel"], SIGMA, U0, PERT, delta, run["streams"], run["times"], xi, eps_values,
+                    p=p, order=order))
         except SpdeLabError as exc:
             got = exc
         assert_same(got, want)
