@@ -7,6 +7,9 @@ classifier), ``noise`` (spectral synthesis of colored Gaussian increments),
 proofs), ``estimators`` (regularity and pair-divergence statistics),
 ``oracles`` (independent quadrature checks of the Gaussian kernel estimates),
 ``cli`` (deterministic experiment orchestration).
+
+``ywtools`` and ``oracles`` load on first use, not with the package: they pull
+in scipy's quadrature, optimisation and interpolation, which no simulation needs.
 """
 
 __version__ = "0.1.0"
@@ -39,7 +42,6 @@ from .solver import (
     simulate,
     simulate_pairs,
 )
-from .ywtools import RhoSpec, YWFamily, a_sequence, build_family, delta_approx_check
 from .estimators import (
     HolderReport,
     UniquenessReport,
@@ -58,3 +60,12 @@ __all__ = [
     "semigroup_multiplier", "sigma_eval", "simulate", "simulate_pairs", "spectral_amplitudes",
     "spectral_density", "structure_function", "synthesize", "uniqueness_gap", "write_field",
 ]
+
+
+def __getattr__(name):
+    """The five ``ywtools`` names, which load ``ywtools`` on first access (PEP 562)."""
+    if name in ("RhoSpec", "YWFamily", "a_sequence", "build_family", "delta_approx_check"):
+        from . import ywtools
+
+        return getattr(ywtools, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

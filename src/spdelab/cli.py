@@ -14,7 +14,9 @@ streamed estimator (:func:`~spdelab.estimators.structure_function`,
 :func:`~spdelab.estimators.conditional_regularity`), which takes per-snapshot
 statistics from the engine; only ``simulate`` keeps a trajectory.
 Everything checkable without a simulation is checked before step 1,
-``--out`` and the 32-bit step bound included.
+``--out`` and the 32-bit step bound included.  ``yw`` and ``oracle`` import
+:mod:`~spdelab.ywtools` and :mod:`~spdelab.oracles` when they run, so the other
+subcommands never load scipy's quadrature, optimisation or interpolation.
 
 Exit codes: 0 success, 1 failed gate in ``--gated`` mode, 2 config parse
 error, 3 precondition error, 4 numeric failure.
@@ -52,16 +54,7 @@ from .estimators import (
 )
 from .kernels import classify_regime
 from .noise import NoiseField, _require_steps, covariance_check, write_field
-from .oracles import (
-    space_difference_riesz,
-    time_difference_riesz,
-    verify_correst,
-    verify_factorization,
-    verify_jest,
-    verify_pdiffest,
-)
 from .solver import InitialCondition, simulate
-from .ywtools import RhoSpec, a_sequence, build_family, delta_approx_check
 
 
 def _write_csv(path: Path, header, rows, cfg: ExperimentConfig) -> None:
@@ -151,7 +144,8 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
     grid, kspec, sspec = cfg.grid(), cfg.kernel(), cfg.sigma()
     times = cfg.get_floats("sim.snapshots")
     if not times:
-        times = _default_snapshots(grid, max(1, int(round(grid.t_end / grid.dt / 8))))
+        total = grid.t_end / grid.dt  # an infinite count takes stride 1, so that the 32-bit check rejects it
+        times = _default_snapshots(grid, max(1, int(round(total / 8))) if math.isfinite(total) else 1)
     traj = simulate(grid, kspec, sspec, cfg.u0(), cfg.stream(0), times,
                     clip=cfg.get_bool("sim.clip"))
     summary = []
@@ -281,6 +275,8 @@ def _cmd_small_value(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
 
 
 def _cmd_yw(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
+    from .ywtools import RhoSpec, a_sequence, build_family, delta_approx_check
+
     n_max = cfg.get_int("yw.n")
     rho_kind = cfg.get_str("yw.rho")
     if rho_kind != "sqrt":
@@ -318,6 +314,9 @@ def _cmd_yw(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
 
 
 def _cmd_oracle(cfg: ExperimentConfig, out: Path, gated: bool) -> int:
+    from .oracles import (space_difference_riesz, time_difference_riesz, verify_correst, verify_factorization,
+                          verify_jest, verify_pdiffest)
+
     alpha = cfg.get_float("oracle.alpha")
     n_cases = cfg.get_int("oracle.cases")
     rng = cfg.stream().generator()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .kernels import KernelSpec
-from .noise import GridSpec, RngStream
+from .noise import GridSpec, RngStream, _replica_streams
 from .solver import InitialCondition, SigmaSpec
 
 DEFAULT_CONFIG = """
@@ -253,7 +253,7 @@ class ExperimentConfig:
 
     def streams(self) -> list[RngStream]:
         """One stream per replica, ``run.replicas`` of them."""
-        return [self.stream(r) for r in range(self.get_int("run.replicas"))]
+        return _replica_streams(self.get_int("run.seed"), self.get_int("run.replicas"))
 
     def fingerprint(self) -> str:
         return fingerprint(self.values)

@@ -47,7 +47,6 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
 from ._fit import fit_loglog
 from .errors import DomainError, InputError, InsufficientDataError
@@ -289,6 +288,8 @@ class _Conditioning:
         """One row per row of ``diffs``: its peak ``|diff|``; then the anchor counts of every anchor
         set, which is every anchor, then for each ``eps`` the anchors within ``eps`` of a point where
         ``|diff| <= eps^xi``; then each set's sum of ``|increment|^p`` at each lag."""
+        from scipy.ndimage import minimum_filter1d  # small-value alone needs ndimage: not loaded with the package
+
         mag = np.abs(diffs)
         powers = list(_increment_powers(diffs, self.p, self.order, self.cells))
         masks = [np.ones_like(mag, bool)] + [minimum_filter1d(mag, w, mode="wrap") <= t for w, t in self.filters]

@@ -317,6 +317,14 @@ def _require_steps(count) -> None:
         raise DomainError(f"{count} steps need step indices past the 32 bits of a stream")
 
 
+def _replica_streams(master_seed: int, replicas: int) -> list[RngStream]:
+    """The streams of replica ids ``0 .. replicas - 1``; a count past the 32 bits of a replica id is rejected
+    before any stream is built."""
+    if replicas > _TWO32:
+        raise DomainError(f"{replicas} replicas need replica ids past the 32 bits of a stream")
+    return [RngStream(master_seed, r) for r in range(replicas)]
+
+
 def _increments(grid: GridSpec, kspec: KernelSpec, streams, count: int):
     """The one draw path of the engine and the covariance check: for each step ``m < count``, one
     ``(len(streams), *half-spectrum)`` buffer, refilled in place, whose row ``r`` is the ``_draw_spectrum``
@@ -423,7 +431,7 @@ def covariance_check(
             power += p
         return [np.fft.irfft(n * row, n)[offsets] / steps_per_replica for row in power]
 
-    per_replica = np.array(_run_replicas([RngStream(master_seed, r) for r in range(replicas)], batch))
+    per_replica = np.array(_run_replicas(_replica_streams(master_seed, replicas), batch))
     return [
         CovarianceRow(lag=float(lag), estimate=float(np.mean(col)),
                       stderr=float(np.std(col, ddof=1) / np.sqrt(len(col))),

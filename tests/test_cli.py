@@ -52,6 +52,18 @@ CHUNK_ARGS = {
 }
 
 
+def run_under_1gib(args):
+    """``spdelab`` on ``args`` in a child process on one thread, under a 1 GiB address-space limit:
+    an input that would fill memory ends there with ``MemoryError``, not in the test process."""
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "spdelab.cli", *args], capture_output=True, text=True,
+        env=dict(os.environ, SPDELAB_THREADS="1"), timeout=120, preexec_fn=limit_address_space,
+    )
+
+
 # the small holder run whose artifacts TestGoldenBytes pins
 GOLDEN_HOLDER = [
     "holder", "--set", "grid.n=64", "--set", "grid.dt=0.0001220703125", "--set", "grid.t_end=0.125",
@@ -335,22 +347,26 @@ class TestExitCodes:
         assert main([command, "--set", "grid.n=0", "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == "precondition error: n must be a power of two >= 4\n"
 
-    @pytest.mark.parametrize("setting", ["grid.t_end=1e300", "grid.dt=1e-300"])
-    @pytest.mark.parametrize("command", ["holder", "uniqueness", "small-value"])
+    @pytest.mark.parametrize("setting", ["grid.t_end=1e300", "grid.dt=1e-300", "grid.t_end=1e308"])
+    @pytest.mark.parametrize("command", ["holder", "uniqueness", "small-value", "simulate"])
     def test_step_count_past_32_bits_is_3_at_once(self, tmp_path, command, setting):
         """A horizon past 2^32 steps fails before its snapshot times are listed: the run, in a child
-        process under a 1 GiB address-space limit, exits 3 with the engine's 32-bit message."""
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-        env = dict(os.environ, SPDELAB_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "spdelab.cli", command, "--set", setting, "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
-        )
+        process under a 1 GiB address-space limit, exits 3 with the engine's 32-bit message.  With the
+        default ``dt``, ``t_end=1e308`` is an infinite step count, which ``simulate``'s default stride
+        must not round."""
+        proc = run_under_1gib([command, "--set", setting, "--out", str(tmp_path / "o")])
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("precondition error: ")
         assert proc.stderr.endswith(" steps need step indices past the 32 bits of a stream\n")
+
+    @pytest.mark.parametrize("command", ["noise-check", "holder", "uniqueness", "small-value"])
+    def test_replica_count_past_32_bits_is_3_at_once(self, tmp_path, command):
+        """Replica ids past 2^32 fail before one stream per replica is built, in a child process
+        under a 1 GiB address-space limit; never run this without that limit."""
+        proc = run_under_1gib([command, "--replicas", "4294967297", "--out", str(tmp_path / "o")])
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "precondition error: 4294967297 replicas need replica ids past the 32 bits of a stream\n")
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
     def test_thread_count_that_is_not_a_positive_integer_is_2(self, tmp_path, monkeypatch, capsys, threads):

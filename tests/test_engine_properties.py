@@ -13,9 +13,13 @@ The properties:
 - at 1, 2 and 3 threads, the covariance check's per-replica rows equal a
   reference that builds a new generator for every draw,
   ``RngStream(seed, r).at_step(m).generator()``;
-- a blow-up names the same step, replica and message at 1, 2 and 3 threads.
+- a blow-up names the same step, replica and message at 1, 2 and 3 threads;
+- a blow-up forced at any step leaves, in ``simulate``'s ``partial_trajectory``
+  and ``simulate_pairs``' ``partial_pairs``, bitwise the prefix of the
+  unforced run.
 """
 
+import itertools
 import os
 import tempfile
 from pathlib import Path
@@ -26,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdelab import noise
+from spdelab import noise, solver
 from spdelab.errors import BlowUpError
 from spdelab.kernels import KernelSpec
 from spdelab.noise import (
@@ -39,7 +43,15 @@ from spdelab.noise import (
     spectral_amplitudes,
     write_field,
 )
-from spdelab.solver import SIGMA_KINDS, InitialCondition, SigmaSpec, _recorded, simulate, simulate_pairs
+from spdelab.solver import (
+    SIGMA_KINDS,
+    InitialCondition,
+    SigmaSpec,
+    _recorded,
+    sigma_eval,
+    simulate,
+    simulate_pairs,
+)
 
 SIGMAS = {
     "lipschitz-linear": SigmaSpec(kind="lipschitz-linear", scale=1.0),
@@ -204,3 +216,53 @@ def test_blow_up_is_the_same_at_every_thread_count():
         err = exc.value
         assert (err.step_index, err.replica_id, str(err)) == (first.step_index, first.replica_id, str(first))
         assert err.fingerprint == first.fingerprint
+
+
+def sigma_poisoned_at(step, row):
+    """Patch the engine's ``sigma_eval`` so that at ``step`` (its ``step``-th call, one per step) batch row
+    ``row`` is NaN: that replica blows up at that step and no other does."""
+    calls = itertools.count(1)
+
+    def poisoned(sspec, u):
+        out = sigma_eval(sspec, u)
+        if next(calls) == step:
+            out[row] = np.nan
+        return out
+
+    return mock.patch.object(solver, "sigma_eval", poisoned)
+
+
+def assert_prefix(part, whole, stop):
+    """``part`` is ``whole`` cut before step ``stop``: as many steps, times and value rows, bitwise its first."""
+    k = sum(step < stop for step in whole.steps)
+    assert not part.complete
+    assert part.fingerprint == whole.fingerprint
+    assert part.steps == whole.steps[:k]
+    assert part.times == whole.times[:k]
+    assert part.values.shape == whole.values[:k].shape
+    assert part.values.tobytes() == whole.values[:k].tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(run=runs(), data=st.data())
+def test_forced_blow_up_keeps_the_prefix_of_the_unforced_run(run, data):
+    grid, kspec, sigma, u0, pert = run["grid"], run["kernel"], run["sigma"], run["u0"], run["perturbation"]
+    deltas, streams, times, clip = run["deltas"], run["streams"], run["times"], run["clip"]
+    stop = data.draw(st.integers(1, grid.steps(times[-1])), label="stop")
+    row = data.draw(st.integers(0, len(streams) - 1), label="row")
+    stream = streams[row]
+
+    whole = simulate(grid, kspec, sigma, u0, stream, times, clip)
+    with sigma_poisoned_at(stop, 0), pytest.raises(BlowUpError) as exc:
+        simulate(grid, kspec, sigma, u0, stream, times, clip)
+    assert (exc.value.step_index, exc.value.replica_id) == (stop, stream.replica_id)
+    assert_prefix(exc.value.partial_trajectory, whole, stop)
+
+    pairs = simulate_pairs(grid, kspec, sigma, u0, pert, deltas, streams, times)[row]
+    with sigma_poisoned_at(stop, row), pytest.raises(BlowUpError) as exc:
+        simulate_pairs(grid, kspec, sigma, u0, pert, deltas, streams, times)
+    assert (exc.value.step_index, exc.value.replica_id) == (stop, stream.replica_id)
+    assert [pair.delta for pair in exc.value.partial_pairs] == deltas
+    for part, pair in zip(exc.value.partial_pairs, pairs, strict=True):
+        assert_prefix(part.traj_a, pair.traj_a, stop)
+        assert_prefix(part.traj_b, pair.traj_b, stop)

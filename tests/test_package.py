@@ -3,6 +3,9 @@ module that draws the noise."""
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import spdelab
@@ -26,6 +29,44 @@ def test_public_names_are_pinned():
         "spectral_amplitudes", "spectral_density",
         "structure_function", "synthesize", "uniqueness_gap", "write_field",
     ]
+
+
+IMPORT_PROBE = """
+import json, sys
+import spdelab.cli
+import spdelab
+deferred = ("scipy.integrate", "scipy.optimize", "scipy.interpolate", "scipy.ndimage",
+            "spdelab.ywtools", "spdelab.oracles")
+loaded = [name for name in deferred if name in sys.modules]
+special = "scipy.special" in sys.modules
+lazy = {name: getattr(spdelab, name).__module__ for name in
+        ("RhoSpec", "YWFamily", "a_sequence", "build_family", "delta_approx_check")}
+star = {}
+exec("from spdelab import *", star)
+try:
+    spdelab.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({"loaded": loaded, "special": special, "lazy": lazy,
+                  "unbound": sorted(set(spdelab.__all__) - set(star)), "missing": missing}))
+"""
+
+
+def test_import_loads_only_what_the_simulation_subcommands_run():
+    """In a fresh interpreter, ``import spdelab.cli`` and ``import spdelab`` load neither ``ywtools`` nor
+    ``oracles`` nor scipy's quadrature, optimisation, interpolation or ndimage; the five ``ywtools``
+    names still resolve, on first access, ``from spdelab import *`` binds every name of ``__all__``,
+    and an unknown name is still an ``AttributeError``."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["loaded"] == []
+    assert probe["special"]  # every Riesz run needs scipy.special.gamma, so it stays a top-level import
+    assert probe["lazy"] == dict.fromkeys(
+        ("RhoSpec", "YWFamily", "a_sequence", "build_family", "delta_approx_check"), "spdelab.ywtools")
+    assert probe["unbound"] == []
+    assert probe["missing"] == "module 'spdelab' has no attribute 'no_such_name'"
 
 
 def test_every_benchmark_role_is_traced(monkeypatch):
