@@ -8,8 +8,8 @@ proofs), ``estimators`` (regularity and pair-divergence statistics),
 ``oracles`` (independent quadrature checks of the Gaussian kernel estimates),
 ``cli`` (deterministic experiment orchestration).
 
-``ywtools`` and ``oracles`` load on first use, not with the package: they pull
-in scipy's quadrature, optimisation and interpolation, which no simulation needs.
+``ywtools`` and ``oracles`` (scipy's quadrature, optimisation, interpolation) load
+on first use; the package loads no scipy module, as ``kernels`` ports Cephes gamma.
 """
 
 __version__ = "0.1.0"

@@ -14,9 +14,9 @@ streamed estimator (:func:`~spdelab.estimators.structure_function`,
 :func:`~spdelab.estimators.conditional_regularity`), which takes per-snapshot
 statistics from the engine; only ``simulate`` keeps a trajectory.
 Everything checkable without a simulation is checked before step 1,
-``--out`` and the 32-bit step bound included.  ``yw`` and ``oracle`` import
-:mod:`~spdelab.ywtools` and :mod:`~spdelab.oracles` when they run, so the other
-subcommands never load scipy's quadrature, optimisation or interpolation.
+``--out`` and the 32-bit step bound included.  Only ``yw``, ``oracle`` and
+``small-value`` load scipy, when they run (:mod:`~spdelab.ywtools`,
+:mod:`~spdelab.oracles`, ``scipy.ndimage``); the other five load none of it.
 
 Exit codes: 0 success, 1 failed gate in ``--gated`` mode, 2 config parse
 error, 3 precondition error, 4 numeric failure.

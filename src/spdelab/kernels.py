@@ -15,6 +15,9 @@ Conventions
   ``exp(-2 pi^2 |xi|^2 t)`` and the Riesz kernel ``|x|^(-alpha)`` has spectral
   density ``c_R(alpha, d) |xi|^(alpha - d)`` with
   ``c_R = pi^(alpha - d/2) Gamma((d - alpha)/2) / Gamma(alpha/2)``.
+* ``Gamma`` is a port of Cephes ``Gamma`` (Moshier, *Methods and Programs for
+  Mathematical Functions*, 1989, ``gamma.c``), the routine ``scipy.special.gamma``
+  runs, so artifacts keep their bits and no simulation loads scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import DomainError, SingularKernelError
 
@@ -141,6 +143,40 @@ def semigroup_multiplier(xi, t, dim: int = 1):
     xi = np.asarray(xi, dtype=float)
     sq = xi * xi if dim == 1 else np.sum(xi * xi, axis=-1)
     return np.exp(-2.0 * np.pi**2 * sq * t)
+
+
+# Cephes gamma.c: the rational approximation of Gamma(2 + x) on 0 <= x < 1, highest power first
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+
+
+def _gamma(x: float) -> float:
+    """``Gamma(x)`` on ``(0, 33]``, operation for operation as Cephes computes it (the constants pass ``d/2``
+    at most): shift into ``[2, 3)``, then ``P/Q`` by Horner's rule.  The Stirling branch above 33 is left out."""
+    if not 0.0 < x <= 33.0:
+        raise DomainError(f"gamma is implemented on (0, 33] only, got {x}")
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    p, q = _GAMMA_P[0], _GAMMA_Q[0]
+    for c in _GAMMA_P[1:]:
+        p = p * x + c
+    for c in _GAMMA_Q[1:]:
+        q = q * x + c
+    return z * p / q
 
 
 def riesz_spectral_constant(alpha: float, dim: int) -> float:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma as scipy_gamma
 
 from spdelab.errors import DomainError, SingularKernelError
 from spdelab.kernels import (
+    _gamma,
     NO_FUNCTION_SOLUTION,
     OPEN,
     PROVEN_UNIQUE_HOLDER,
@@ -204,6 +206,54 @@ class TestNegativeMomentConstant:
             for alpha in (0.1, 0.5, 0.9 * min(d, 2)):
                 c = riesz_spectral_constant(alpha, d)
                 assert np.isfinite(c) and c > 0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _alphas(d):
+    """10,001 alphas strictly inside (0, d)."""
+    return np.linspace(0.0, d, 10_003)[1:-1]
+
+
+class TestGammaPort:
+    """``_gamma`` is Cephes ``Gamma`` operation for operation, and ``scipy.special.gamma`` runs Cephes, so the
+    two agree bit for bit; any slip in a coefficient or in the Horner order shows as a mismatch."""
+
+    def assert_bitwise(self, xs):
+        ours = np.array([_gamma(x) for x in xs.tolist()])
+        mismatched = np.flatnonzero(_bits(ours) != _bits(scipy_gamma(xs)))
+        assert mismatched.size == 0, f"{mismatched.size} mismatches, first at x = {xs[mismatched[:3]]}"
+
+    def test_dense_grid_up_to_three(self):
+        self.assert_bitwise(np.linspace(0.0, 3.0, 100_002)[1:])
+
+    def test_log_grid_through_the_small_argument_branch(self):
+        xs = np.geomspace(1e-12, 33.0, 20_000)
+        assert np.count_nonzero(xs < 1e-9) > 1000 and xs[-1] == 33.0
+        self.assert_bitwise(xs)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_argument_the_constants_pass(self, d):
+        alphas = _alphas(d)
+        self.assert_bitwise(np.concatenate([alphas / 2.0, (d - alphas) / 2.0, [d / 2.0]]))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_constants_match_their_scipy_formulas(self, d):
+        alphas = _alphas(d).tolist()
+        ours = [(riesz_spectral_constant(a, d), negative_moment_constant(a, d)) for a in alphas]
+        reference = [
+            (float(np.pi ** (a - d / 2.0) * scipy_gamma((d - a) / 2.0) / scipy_gamma(a / 2.0)),
+             float(2.0 ** (-a / 2.0) * scipy_gamma((d - a) / 2.0) / scipy_gamma(d / 2.0)))
+            for a in alphas
+        ]
+        assert np.array_equal(_bits(ours), _bits(reference))
+
+    @pytest.mark.parametrize("x", [0.0, -0.5, -3.0, np.nextafter(33.0, 34.0), 40.0, np.nan, np.inf])
+    def test_outside_the_port_raises(self, x):
+        with pytest.raises(DomainError):
+            _gamma(x)
 
 
 def _holder_sigma(gamma):

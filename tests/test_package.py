@@ -38,7 +38,7 @@ import spdelab
 deferred = ("scipy.integrate", "scipy.optimize", "scipy.interpolate", "scipy.ndimage",
             "spdelab.ywtools", "spdelab.oracles")
 loaded = [name for name in deferred if name in sys.modules]
-special = "scipy.special" in sys.modules
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 lazy = {name: getattr(spdelab, name).__module__ for name in
         ("RhoSpec", "YWFamily", "a_sequence", "build_family", "delta_approx_check")}
 star = {}
@@ -48,25 +48,56 @@ try:
     missing = None
 except AttributeError as exc:
     missing = str(exc)
-print(json.dumps({"loaded": loaded, "special": special, "lazy": lazy,
+print(json.dumps({"loaded": loaded, "scipy": scipy, "lazy": lazy,
                   "unbound": sorted(set(spdelab.__all__) - set(star)), "missing": missing}))
 """
 
 
 def test_import_loads_only_what_the_simulation_subcommands_run():
     """In a fresh interpreter, ``import spdelab.cli`` and ``import spdelab`` load neither ``ywtools`` nor
-    ``oracles`` nor scipy's quadrature, optimisation, interpolation or ndimage; the five ``ywtools``
+    ``oracles`` nor any scipy module (``kernels`` ports the Cephes gamma it needs); the five ``ywtools``
     names still resolve, on first access, ``from spdelab import *`` binds every name of ``__all__``,
     and an unknown name is still an ``AttributeError``."""
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout)
     assert probe["loaded"] == []
-    assert probe["special"]  # every Riesz run needs scipy.special.gamma, so it stays a top-level import
+    assert probe["scipy"] == []
     assert probe["lazy"] == dict.fromkeys(
         ("RhoSpec", "YWFamily", "a_sequence", "build_family", "delta_approx_check"), "spdelab.ywtools")
     assert probe["unbound"] == []
     assert probe["missing"] == "module 'spdelab' has no attribute 'no_such_name'"
+
+
+# n = 16, 2 replicas and 51 steps: enough for every simulation subcommand to exit 0
+TINY = ["--set", "grid.n=16", "--set", "grid.t_end=0.1", "--replicas", "2", "--set", "holder.snap_every=2",
+        "--set", "holder.lags=1,2,4,8", "--set", "holder.tsteps=2,4,8,16", "--set", "noise.lags=1,2,4",
+        "--set", "noise.steps=4", "--set", "smallvalue.lags=1,2,4,8", "--set", "smallvalue.eps_cells=1,2"]
+
+RUN_PROBE = """
+import contextlib, io, json, sys
+from spdelab import cli
+args, out = json.loads(sys.argv[1]), sys.argv[2]
+runs = {}
+for command in ("regime", "noise-check", "simulate", "holder", "uniqueness", "small-value"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, *args, "--out", f"{out}/{command}"])
+    runs[command] = [code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]
+print(json.dumps(runs))
+"""
+
+
+def test_simulation_subcommands_run_without_scipy(tmp_path):
+    """``regime``, ``noise-check``, ``simulate``, ``holder`` and ``uniqueness`` run to exit 0 in a fresh
+    interpreter without loading any scipy module, so no in-op import can bring one back; ``small-value``,
+    which loads ``scipy.ndimage`` when it runs, still exits 0 after them."""
+    proc = subprocess.run([sys.executable, "-c", RUN_PROBE, json.dumps(TINY), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert {command: code for command, (code, _) in runs.items()} == dict.fromkeys(runs, 0), proc.stderr
+    assert {command: loaded for command, (_, loaded) in runs.items() if command != "small-value"} == dict.fromkeys(
+        ("regime", "noise-check", "simulate", "holder", "uniqueness"), [])
 
 
 def test_every_benchmark_role_is_traced(monkeypatch):
